@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import FactorizationError, StructureError
+from .search import backtrack
 
 # Hard size caps for user-supplied categories.  Internal constructions
 # (categories of elements, for instance) may be larger; validators take
@@ -394,16 +395,6 @@ def identity_functor(C: FinCategory) -> FinFunctor:
     )
 
 
-def compose_functors(G: FinFunctor, F: FinFunctor) -> FinFunctor:
-    if G.dom is not F.cod and G.dom != F.cod:
-        raise StructureError(f"cannot compose {G.name} after {F.name}: middle category differs")
-    return FinFunctor(
-        f"{G.name}.{F.name}", F.dom, G.cod,
-        {x: G.obj_map[F.obj_map[x]] for x in F.dom.objects},
-        {m.name: G.mor_map[F.mor_map[m.name]] for m in F.dom.morphisms},
-    )
-
-
 def validate_functor(F: FinFunctor) -> ValidationReport:
     rep = ValidationReport(subject=f"functor {F.name}")
     for x in F.dom.objects:
@@ -466,43 +457,32 @@ def validate_nat_transf(a: NatTransf) -> ValidationReport:
 def enumerate_nat_transfs(F: FinFunctor, G: FinFunctor) -> tuple[NatTransf, ...]:
     """All natural transformations F => G, in lexicographic component order.
 
-    Backtracking over objects in sorted order; a naturality square is
-    checked as soon as both of its components are chosen.
+    One search variable per object of the domain, in sorted order, with
+    the components of hom(F x, G x) in hom order as its domain; a
+    naturality square is checked at the later of its two objects.  The
+    order is that of filtering the product of the component homs.
     """
     if F.dom != G.dom or F.cod != G.cod:
         raise StructureError("enumerate_nat_transfs: functors are not parallel")
     C = F.cod
     objs = sorted(F.dom.objects)
     pos = {x: i for i, x in enumerate(objs)}
-    constraints: dict[int, list[str]] = {i: [] for i in range(len(objs))}
+    squares: list[list[tuple[int, str, str, int]]] = [[] for _ in objs]
     for m in F.dom.non_identities():
-        i = max(pos[F.dom.src(m)], pos[F.dom.tgt(m)])
-        constraints[i].append(m)
-    out: list[NatTransf] = []
-    chosen: dict[str, str] = {}
+        x, y = pos[F.dom.src(m)], pos[F.dom.tgt(m)]
+        squares[max(x, y)].append((y, F.mor_map[m], G.mor_map[m], x))
 
-    def ok_at(i: int) -> bool:
-        for m in constraints[i]:
-            x, y = F.dom.src(m), F.dom.tgt(m)
-            if C.compose(chosen[y], F.mor_map[m]) != C.compose(G.mor_map[m], chosen[x]):
-                return False
-        return True
+    def ok(i: int, chosen: list) -> bool:
+        return all(
+            C.compose(chosen[y], fm) == C.compose(gm, chosen[x])
+            for y, fm, gm, x in squares[i]
+        )
 
-    def extend(i: int) -> None:
-        if i == len(objs):
-            out.append(
-                NatTransf(f"{F.name}=>{G.name}#{len(out)}", F, G, dict(chosen))
-            )
-            return
-        x = objs[i]
-        for c in C.hom(F.obj_map[x], G.obj_map[x]):
-            chosen[x] = c
-            if ok_at(i):
-                extend(i + 1)
-        chosen.pop(x, None)
-
-    extend(0)
-    return tuple(out)
+    domains = [C.hom(F.obj_map[x], G.obj_map[x]) for x in objs]
+    return tuple(
+        NatTransf(f"{F.name}=>{G.name}#{n}", F, G, dict(zip(objs, comps)))
+        for n, comps in enumerate(backtrack(domains, ok))
+    )
 
 
 def is_fully_faithful(F: FinFunctor) -> ValidationReport:
@@ -544,39 +524,31 @@ class Cocone:
 
 
 def enumerate_cones(D: FinFunctor) -> tuple[Cone, ...]:
-    """All cones over D, sorted by (apex, legs) lexicographically."""
+    """All cones over D, sorted by (apex, legs) lexicographically.
+
+    The apex is search variable 0, ranging over the sorted objects; then
+    one leg per index object in sorted order, ranging over hom(apex, D j)
+    in hom order.  A triangle is checked at the later of its two legs.
+    """
     C = D.cod
     J = D.dom
     jobjs = sorted(J.objects)
-    pos = {j: i for i, j in enumerate(jobjs)}
-    constraints: dict[int, list[str]] = {i: [] for i in range(len(jobjs))}
+    pos = {j: i + 1 for i, j in enumerate(jobjs)}
+    triangles: list[list[tuple[str, int, int]]] = [[] for _ in range(len(jobjs) + 1)]
     for m in J.non_identities():
-        i = max(pos[J.src(m)], pos[J.tgt(m)])
-        constraints[i].append(m)
-    out: list[Cone] = []
-    for apex in sorted(C.objects):
-        legs: dict[str, str] = {}
+        j, k = pos[J.src(m)], pos[J.tgt(m)]
+        triangles[max(j, k)].append((D.mor_map[m], j, k))
 
-        def ok_at(i: int) -> bool:
-            for m in constraints[i]:
-                j, k = J.src(m), J.tgt(m)
-                if C.compose(D.mor_map[m], legs[j]) != legs[k]:
-                    return False
-            return True
+    def ok(i: int, chosen: list) -> bool:
+        return all(C.compose(dm, chosen[j]) == chosen[k] for dm, j, k in triangles[i])
 
-        def extend(i: int, apex: str = apex) -> None:
-            if i == len(jobjs):
-                out.append(Cone(D, apex, dict(legs)))
-                return
-            j = jobjs[i]
-            for leg in C.hom(apex, D.obj_map[j]):
-                legs[j] = leg
-                if ok_at(i):
-                    extend(i + 1)
-            legs.pop(j, None)
-
-        extend(0)
-    return tuple(out)
+    domains = [sorted(C.objects)] + [
+        lambda chosen, d=D.obj_map[j]: C.hom(chosen[0], d) for j in jobjs
+    ]
+    return tuple(
+        Cone(D, apex, dict(zip(jobjs, legs)))
+        for apex, *legs in backtrack(domains, ok)
+    )
 
 
 def universal_cone_search(D: FinFunctor) -> Optional[Cone]:
@@ -851,6 +823,9 @@ class HandleFunctor:
     cod: ComputationalCategory
     obj_map: Mapping[str, Obj]
     mor_map: Mapping[str, Mor]
+    # constructions memoized on this functor (its extension, for one), so
+    # they live exactly as long as the functor does
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def on_obj(self, x: str) -> Obj:
         return self.obj_map[x]

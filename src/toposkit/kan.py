@@ -146,14 +146,10 @@ def tilde_extend_mor(p: HandleFunctor, t: PresheafMorphism) -> Mor:
     return _extension(p).on_morphism(t)
 
 
-_EXTENSIONS: dict[int, ExtensionFunctor] = {}
-
-
 def _extension(p: HandleFunctor) -> ExtensionFunctor:
-    key = id(p)
-    if key not in _EXTENSIONS:
-        _EXTENSIONS[key] = ExtensionFunctor(p)
-    return _EXTENSIONS[key]
+    if "extension" not in p._memo:
+        p._memo["extension"] = ExtensionFunctor(p)
+    return p._memo["extension"]
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +412,16 @@ def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tupl
     arrows: list[tuple[str, str, str]] = []
     for m in C.non_identities():
         X, Y = C.src(m), C.tgt(m)
-        act = p.on_mor(m).components["*"]
+        act_m = _finset_map(p.on_mor(m))
         for x in fs_values[X]:
-            arrows.append((f"{m}|{x}", element_node(x, X), element_node(act[x], Y)))
+            arrows.append((f"{m}|{x}", element_node(x, X), element_node(act_m[x], Y)))
     compose: dict[tuple[str, str], str] = {}
     for g in C.non_identities():
         for f in C.non_identities():
             if C.src(g) != C.tgt(f):
                 continue
             gf = C.compose(g, f)
-            act_f = p.on_mor(f).components["*"]
+            act_f = _finset_map(p.on_mor(f))
             for x in fs_values[C.src(f)]:
                 name_g = f"{g}|{act_f[x]}"
                 name_f = f"{f}|{x}"
@@ -435,10 +431,19 @@ def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tupl
     return gamma, nodes
 
 
-def _finset_elements(obj: Obj) -> tuple[str, ...]:
-    if not isinstance(obj, Presheaf) or set(obj.values) != {"*"}:
+def _finset_point(obj: Obj) -> str:
+    """The sole object of the one-object base a finite set lives over."""
+    if not isinstance(obj, Presheaf) or len(obj.base.objects) != 1:
         raise StructureError("set-valued flatness needs finite-set objects")
-    return obj.values["*"]
+    return obj.base.objects[0]
+
+
+def _finset_elements(obj: Obj) -> tuple[str, ...]:
+    return obj.values[_finset_point(obj)]
+
+
+def _finset_map(t: PresheafMorphism) -> Mapping[str, str]:
+    return t.components[_finset_point(t.dom)]
 
 
 def is_flat_setvalued(p: HandleFunctor) -> FlatSetReport:

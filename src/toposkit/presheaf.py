@@ -40,6 +40,7 @@ from .fincat import (
     make_category,
     terminal_category,
 )
+from .search import backtrack
 
 # ---------------------------------------------------------------------------
 # presheaves and their morphisms
@@ -206,93 +207,80 @@ def invert_presheaf_iso(t: PresheafMorphism) -> PresheafMorphism:
 def enumerate_presheaf_morphisms(
     F: Presheaf, G: Presheaf, *, budget: Optional[int] = None
 ) -> tuple[PresheafMorphism, ...]:
-    """All natural families F -> G by backtracking over objects.
+    """All natural families F -> G, in lexicographic order.
 
+    The order is that of filtering, for objects in sorted order, the
+    product over each object of itertools.product(G(X), repeat=|F(X)|).
     The worst-case candidate count is the product over objects of
     |G(X)| ** |F(X)|; if a budget is given and the product exceeds it the
     search refuses up front rather than truncating.
     """
     if F.base != G.base:
         raise StructureError("enumerate_presheaf_morphisms: different base categories")
-    C = F.base
-    objs = sorted(C.objects)
     if budget is not None:
         total = 1
-        for x in objs:
+        for x in sorted(F.base.objects):
             total *= max(1, len(G.values[x])) ** len(F.values[x])
             if total > budget:
                 raise ResourceBudgetError("enumerate_presheaf_morphisms", total, budget)
-    pos = {x: i for i, x in enumerate(objs)}
-    constraints: dict[int, list[str]] = {i: [] for i in range(len(objs))}
-    for m in C.non_identities():
-        i = max(pos[C.src(m)], pos[C.tgt(m)])
-        constraints[i].append(m)
-    out: list[PresheafMorphism] = []
-    chosen: dict[str, dict[str, str]] = {}
-
-    def ok_at(i: int) -> bool:
-        for m in constraints[i]:
-            x, y = C.src(m), C.tgt(m)
-            cx, cy = chosen[x], chosen[y]
-            for e in F.values[y]:
-                if cx[F.actions[m][e]] != G.actions[m][cy[e]]:
-                    return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == len(objs):
-            out.append(PresheafMorphism(F, G, {x: dict(c) for x, c in chosen.items()}))
-            return
-        x = objs[i]
-        dom_elems = F.values[x]
-        for combo in itertools.product(G.values[x], repeat=len(dom_elems)):
-            chosen[x] = dict(zip(dom_elems, combo))
-            if ok_at(i):
-                extend(i + 1)
-        chosen.pop(x, None)
-
-    extend(0)
-    return tuple(out)
+    return tuple(_natural_families(F, G, bijective=False))
 
 
 def find_presheaf_iso(F: Presheaf, G: Presheaf) -> Optional[PresheafMorphism]:
-    """First natural isomorphism F -> G in lexicographic order, or None."""
+    """First natural isomorphism F -> G in lexicographic order, or None.
+
+    The order is that of filtering, for objects in sorted order, the
+    product over each object of itertools.permutations(G(X)); the result
+    is the first isomorphism in ``enumerate_presheaf_morphisms(F, G)``.
+    """
     if F.base != G.base:
         return None
+    if any(len(F.values[x]) != len(G.values[x]) for x in F.base.objects):
+        return None
+    return next(_natural_families(F, G, bijective=True), None)
+
+
+def _natural_families(F: Presheaf, G: Presheaf, *, bijective: bool) -> Iterator[PresheafMorphism]:
+    """Natural families F -> G by search over the elements (X, e) of F.
+
+    Elements are ordered by object (sorted) and then by position in F(X);
+    the variable (X, e) ranges over G(X).  The naturality square of m on e
+    relates (src m, F(m)(e)) to (tgt m, e) and is checked at the later of
+    the two.  ``bijective`` adds "not yet used in this object".
+    """
     C = F.base
     objs = sorted(C.objects)
-    if any(len(F.values[x]) != len(G.values[x]) for x in objs):
-        return None
-    pos = {x: i for i, x in enumerate(objs)}
-    constraints: dict[int, list[str]] = {i: [] for i in range(len(objs))}
+    var: dict[tuple[str, str], int] = {}
+    first: list[int] = []
+    domains: list[tuple[str, ...]] = []
+    blocks: list[tuple[str, tuple[str, ...], int, int]] = []
+    for x in objs:
+        start = len(domains)
+        for e in F.values[x]:
+            var[(x, e)] = len(domains)
+            first.append(start)
+            domains.append(G.values[x])
+        blocks.append((x, F.values[x], start, len(domains)))
+    squares: list[list[tuple[int, Mapping[str, str], int]]] = [[] for _ in domains]
     for m in C.non_identities():
-        i = max(pos[C.src(m)], pos[C.tgt(m)])
-        constraints[i].append(m)
-    chosen: dict[str, dict[str, str]] = {}
+        x, y = C.src(m), C.tgt(m)
+        fm, gm = F.actions[m], G.actions[m]
+        for e in F.values[y]:
+            a, b = var[(x, fm[e])], var[(y, e)]
+            squares[max(a, b)].append((a, gm, b))
 
-    def ok_at(i: int) -> bool:
-        for m in constraints[i]:
-            x, y = C.src(m), C.tgt(m)
-            cx, cy = chosen[x], chosen[y]
-            for e in F.values[y]:
-                if cx[F.actions[m][e]] != G.actions[m][cy[e]]:
-                    return False
+    def ok(i: int, assign: list) -> bool:
+        if bijective and assign[i] in assign[first[i]:i]:
+            return False
+        for a, gm, b in squares[i]:
+            if assign[a] != gm[assign[b]]:
+                return False
         return True
 
-    def extend(i: int) -> Optional[PresheafMorphism]:
-        if i == len(objs):
-            return PresheafMorphism(F, G, {x: dict(c) for x, c in chosen.items()})
-        x = objs[i]
-        for perm in itertools.permutations(G.values[x]):
-            chosen[x] = dict(zip(F.values[x], perm))
-            if ok_at(i):
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-        chosen.pop(x, None)
-        return None
-
-    return extend(0)
+    for images in backtrack(domains, ok):
+        yield PresheafMorphism(
+            F, G, {x: dict(zip(elems, images[s:t])) for x, elems, s, t in blocks}
+        )
 
 
 def presheaf_key(F: Presheaf) -> str:
@@ -558,41 +546,33 @@ def presheaf_colimit(diagram: HandleDiagram) -> ColimitData:
 
 
 def presheaf_limit(diagram: HandleDiagram) -> LimitData:
-    """Pointwise limit: compatible tuples, labeled by their coordinates."""
+    """Pointwise limit: compatible tuples, labeled by their coordinates.
+
+    At each base object the tuples are searched with one variable per
+    index object in sorted order, each arrow of the index checked at the
+    later of its ends, so they come in the order of filtering the product
+    of the value sets; the apex lists their labels sorted.
+    """
     J = diagram.index
     obs = _diagram_presheaves(diagram)
     base = next(iter(obs.values())).base if obs else None
     if base is None:
         raise StructureError("presheaf_limit: empty diagram needs an explicit base; use the handle")
     jobjs = sorted(obs)
-    constraints: list[tuple[str, str, str]] = [
-        (m, J.src(m), J.tgt(m)) for m in J.non_identities()
-    ]
+    pos = {j: i for i, j in enumerate(jobjs)}
     tuples: dict[str, list[dict[str, str]]] = {}
     for A in base.objects:
-        found: list[dict[str, str]] = []
-        assign: dict[str, str] = {}
+        # a tuple is compatible when D(m)(t[j]) == t[k] for every m: j -> k
+        arrows: list[list[tuple[int, Mapping[str, str], int]]] = [[] for _ in jobjs]
+        for m in J.non_identities():
+            j, k = pos[J.src(m)], pos[J.tgt(m)]
+            arrows[max(j, k)].append((j, diagram.mors[m].components[A], k))
 
-        def ok() -> bool:
-            for m, j, k in constraints:
-                if j in assign and k in assign:
-                    if diagram.mors[m].components[A][assign[j]] != assign[k]:
-                        return False
-            return True
+        def ok(i: int, t: list) -> bool:
+            return all(dm[t[j]] == t[k] for j, dm, k in arrows[i])
 
-        def extend(i: int) -> None:
-            if i == len(jobjs):
-                found.append(dict(assign))
-                return
-            j = jobjs[i]
-            for e in obs[j].values[A]:
-                assign[j] = e
-                if ok():
-                    extend(i + 1)
-            assign.pop(j, None)
-
-        extend(0)
-        tuples[A] = found
+        domains = [obs[j].values[A] for j in jobjs]
+        tuples[A] = [dict(zip(jobjs, t)) for t in backtrack(domains, ok)]
 
     def label_of(t: Mapping[str, str]) -> str:
         return "(" + ",".join(f"{j}={t[j]}" for j in jobjs) + ")"
@@ -688,87 +668,57 @@ def enumerate_presheaves(
 ) -> list[Presheaf]:
     """Every presheaf with value sets of size <= bound, canonically labeled.
 
-    Value labels are e0, e1, ... per object.  Actions are chosen by
-    backtracking over integer tuples; a composite whose two factors are
-    already assigned is derived instead of searched, and the remaining
-    composition constraints are checked pointwise with early exit.  Raises
-    rather than truncates when max_count is exceeded.
+    Value labels are e0, e1, ... per object.  The search variables are the
+    value-set sizes, objects in sorted order, then the identity actions,
+    then the non-identity actions in sorted order as integer tuples over
+    itertools.product(range(|F(src)|), repeat=|F(tgt)|).  An identity, or
+    a composite of two earlier non-identities, has a one-value domain; the
+    remaining composition laws are checked pointwise at their latest
+    arrow.  Results come in lexicographic order of that variable sequence.
+    Raises rather than truncates when max_count is exceeded.
     """
     objs = sorted(C.objects)
     mors = sorted(C.non_identities())
-    pos = {m: i for i, m in enumerate(mors)}
-    triples: list[tuple[str, str, str]] = []
-    for g, f in C.composable_pairs():
-        c = C.compose(g, f)
-        if not (C.is_identity(g) and C.is_identity(f)):
-            triples.append((g, f, c))
-    # derivation: first factorization of mors[i] by two earlier non-identities
-    derive: dict[int, tuple[str, str]] = {}
-    for i, m in enumerate(mors):
-        for g, f, c in triples:
-            if c == m and g in pos and f in pos and pos[g] < i and pos[f] < i:
-                derive[i] = (g, f)
-                break
-    checks: dict[int, list[tuple[str, str, str]]] = {i: [] for i in range(len(mors))}
-    for g, f, c in triples:
-        idx = [pos[m] for m in (g, f, c) if m in pos]
-        i = max(idx) if idx else None
-        if i is not None and derive.get(i) != (g, f):
-            checks[i].append((g, f, c))
+    n = len(objs)
+    size_var = {x: k for k, x in enumerate(objs)}
+    names = [C.id_of(x) for x in objs] + mors
+    act_var = {m: n + k for k, m in enumerate(names)}
+    triples = [
+        (act_var[g], act_var[f], act_var[C.compose(g, f)])
+        for g, f in C.composable_pairs()
+        if not (C.is_identity(g) or C.is_identity(f))
+    ]
+    domains: list = [range(bound + 1)] * n
+    domains += [lambda a, k=k: (tuple(range(a[k])),) for k in range(n)]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n + len(names))]
+    for i in range(2 * n, n + len(names)):
+        # first factorization by two earlier non-identities derives the action
+        law = next((t for t in triples if t[2] == i and max(t[0], t[1]) < i), None)
+        if law is None:
+            m = names[i - n]
+            d, c = size_var[C.tgt(m)], size_var[C.src(m)]
+            domains.append(lambda a, d=d, c=c: itertools.product(range(a[c]), repeat=a[d]))
+        else:
+            domains.append(lambda a, g=law[0], f=law[1]: (tuple(map(a[f].__getitem__, a[g])),))
+        checks[i].extend(t for t in triples if max(t) == i and t != law)
 
+    def ok(i: int, a: list) -> bool:
+        for g, f, c in checks[i]:
+            if tuple(map(a[f].__getitem__, a[g])) != a[c]:
+                return False
+        return True
+
+    labels = [f"e{k}" for k in range(bound + 1)]
     results: list[Presheaf] = []
-    src_of = {m: C.src(m) for m in mors}
-    tgt_of = {m: C.tgt(m) for m in mors}
-    ids = {x: C.id_of(x) for x in objs}
-
-    for sizes in itertools.product(range(bound + 1), repeat=len(objs)):
-        size = dict(zip(objs, sizes))
-        if any(size[tgt_of[m]] > 0 and size[src_of[m]] == 0 for m in mors):
-            continue
-        acts: dict[str, tuple[int, ...]] = {
-            ids[x]: tuple(range(size[x])) for x in objs
+    for sol in backtrack(domains, ok):
+        if max_count is not None and len(results) >= max_count:
+            raise ResourceBudgetError("enumerate_presheaves", len(results) + 1, max_count)
+        values = {x: tuple(labels[: sol[k]]) for k, x in enumerate(objs)}
+        actions = {
+            m: {labels[k]: labels[v] for k, v in enumerate(t)}
+            for m, t in zip(names, sol[n:])
         }
-
-        def passes(i: int) -> bool:
-            for g, f, c in checks[i]:
-                ga, fa, ca = acts[g], acts[f], acts[c]
-                for e in range(len(ga)):
-                    if ca[e] != fa[ga[e]]:
-                        return False
-            return True
-
-        def emit() -> None:
-            if max_count is not None and len(results) >= max_count:
-                raise ResourceBudgetError("enumerate_presheaves", len(results) + 1, max_count)
-            values = {x: tuple(f"e{k}" for k in range(size[x])) for x in objs}
-            actions = {
-                m: {f"e{k}": f"e{t[k]}" for k in range(len(t))}
-                for m, t in acts.items()
-            }
-            results.append(Presheaf(C, values, actions))
-
-        def extend(i: int) -> None:
-            if i == len(mors):
-                emit()
-                return
-            m = mors[i]
-            n_dom = size[tgt_of[m]]
-            n_cod = size[src_of[m]]
-            if i in derive:
-                g, f = derive[i]
-                ga, fa = acts[g], acts[f]
-                acts[m] = tuple(fa[ga[e]] for e in range(n_dom))
-                if passes(i):
-                    extend(i + 1)
-                del acts[m]
-                return
-            for combo in itertools.product(range(n_cod), repeat=n_dom):
-                acts[m] = combo
-                if passes(i):
-                    extend(i + 1)
-            acts.pop(m, None)
-
-        extend(0)
+        results.append(Presheaf(C, values, actions))
     return results
 
 

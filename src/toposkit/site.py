@@ -58,6 +58,7 @@ from .presheaf import (
     yoneda_embed,
     yoneda_on_mor,
 )
+from .search import backtrack
 
 # ---------------------------------------------------------------------------
 # sieves
@@ -275,34 +276,24 @@ def matching_families(site: Site, S: Sieve, F: Presheaf) -> list[tuple[str, ...]
     """All matching families for S in F, as value tuples in arrow order.
 
     A family assigns to each arrow f in S an element of F(src f) such that
-    restricting along any g lands on the assignment of f.g.
+    restricting along any g lands on the assignment of f.g.  One search
+    variable per arrow in sorted order, ranging over F(src f); a
+    restriction is checked at the later of f and f.g, so the families come
+    in the order of filtering the product of the value sets.
     """
     C = site.base
     arrows, triples = _sieve_structure(site, S)
-    by_pos: dict[int, list[tuple[int, str, int]]] = {i: [] for i in range(len(arrows))}
+    by_pos: list[list[tuple[int, Mapping[str, str], int]]] = [[] for _ in arrows]
     for f_pos, g, fg_pos in triples:
-        by_pos[max(f_pos, fg_pos)].append((f_pos, g, fg_pos))
-    out: list[tuple[str, ...]] = []
-    assign: list[Optional[str]] = [None] * len(arrows)
+        by_pos[max(f_pos, fg_pos)].append((f_pos, F.actions[g], fg_pos))
 
-    def extend(i: int) -> None:
-        if i == len(arrows):
-            out.append(tuple(assign))  # type: ignore[arg-type]
-            return
-        f = arrows[i]
-        for e in F.values[C.src(f)]:
-            assign[i] = e
-            good = True
-            for f_pos, g, fg_pos in by_pos[i]:
-                if F.actions[g][assign[f_pos]] != assign[fg_pos]:
-                    good = False
-                    break
-            if good:
-                extend(i + 1)
-        assign[i] = None
+    def ok(i: int, assign: list) -> bool:
+        for f_pos, g_act, fg_pos in by_pos[i]:
+            if g_act[assign[f_pos]] != assign[fg_pos]:
+                return False
+        return True
 
-    extend(0)
-    return out
+    return list(backtrack([F.values[C.src(f)] for f in arrows], ok))
 
 
 def restriction_family(site: Site, S: Sieve, F: Presheaf, x: str) -> tuple[str, ...]:
@@ -400,6 +391,9 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
     A compatible family picks one element over each cover member, agreeing
     on every span between two members; the condition demands exactly one
     common extension.  Agrees with the sieve form by saturation.
+    Compatible families are scanned in the order of filtering the product
+    of the value sets, each span checked at its later member, so the
+    witness is the first failing family in that order.
     """
     C = site.base
     checked = 0
@@ -407,26 +401,17 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
         for fam in site.covers[X]:
             checked += 1
             spans = _cover_spans(site, X, fam)
-            srcs = [C.src(f) for f in fam]
-            compatible: list[tuple[str, ...]] = []
-            assign: list[Optional[str]] = [None] * len(fam)
+            by_later: list[list[tuple[int, str, str]]] = [[] for _ in fam]
+            for a, b, g, h in spans:
+                by_later[b].append((a, g, h))
 
-            def extend(i: int) -> None:
-                if i == len(fam):
-                    compatible.append(tuple(assign))  # type: ignore[arg-type]
-                    return
-                for e in F.values[srcs[i]]:
-                    assign[i] = e
-                    if all(
-                        F.actions[g][assign[a]] == F.actions[h][assign[b]]
-                        for a, b, g, h in spans
-                        if a <= i and b <= i
-                    ):
-                        extend(i + 1)
-                assign[i] = None
+            def ok(i: int, assign: list) -> bool:
+                return all(
+                    F.actions[g][assign[a]] == F.actions[h][assign[i]]
+                    for a, g, h in by_later[i]
+                )
 
-            extend(0)
-            for tup in compatible:
+            for tup in backtrack([F.values[C.src(f)] for f in fam], ok):
                 hits = [
                     x
                     for x in F.values[X]
@@ -706,6 +691,10 @@ def is_strict_epi_family(
     sources that agrees on all probe-relations, there must be exactly one
     map out of the target restricting to it.  ``target`` is only needed
     for the empty family, where it cannot be read off the members.
+    Per target, agreeing families are scanned in the order of filtering
+    the product of the hom pools, each relation checked at its later
+    member; the witness and ``families_checked`` stop at the first
+    family without exactly one factoring.
     """
     if family:
         target = Z.target(family[0])
@@ -715,8 +704,9 @@ def is_strict_epi_family(
     elif target is None:
         raise StructureError("is_strict_epi_family: empty family needs an explicit target")
     sources = [Z.source(m) for m in family]
-    # probe relations: pairs of generalized elements the family identifies
-    relations: list[tuple[int, Any, int, Any]] = []
+    # probe relations: pairs of generalized elements the family identifies,
+    # filed under the later of the two members they relate
+    relations: list[list[tuple[int, Any, Any]]] = [[] for _ in family]
     for W in Z.probe_objects():
         elems = [(i, x) for i, src in enumerate(sources) for x in Z.hom(W, src)]
         for a in range(len(elems)):
@@ -725,57 +715,37 @@ def is_strict_epi_family(
             for b in range(a, len(elems)):
                 j, z = elems[b]
                 if Z.equal_mor(li_x, Z.compose(family[j], z)):
-                    relations.append((i, x, j, z))
+                    relations[j].append((i, x, z))
+
+    def ok(j: int, assign: list) -> bool:
+        return all(
+            Z.equal_mor(Z.compose(assign[i], x), Z.compose(assign[j], z))
+            for i, x, z in relations[j]
+        )
+
     targets_checked = 0
     families_checked = 0
     for Y in Z.objects():
         targets_checked += 1
         pools = [Z.hom(src, Y) for src in sources]
         hom_xy = Z.hom(target, Y)
-        assign: list[Any] = [None] * len(family)
-
-        def compatible_upto(i: int) -> bool:
-            for a, x, b, z in relations:
-                if a <= i and b <= i:
-                    if not Z.equal_mor(
-                        Z.compose(assign[a], x), Z.compose(assign[b], z)
-                    ):
-                        return False
-            return True
-
-        found_bad: list[dict] = []
-
-        def extend(i: int) -> bool:
-            nonlocal families_checked
-            if i == len(family):
-                families_checked += 1
-                hits = [
-                    w
-                    for w in hom_xy
-                    if all(
-                        Z.equal_mor(Z.compose(w, family[k]), assign[k])
-                        for k in range(len(family))
-                    )
-                ]
-                if len(hits) != 1:
-                    found_bad.append(
-                        {
-                            "target": Z.obj_key(Y),
-                            "family": [Z.mor_key(a) for a in assign],
-                            "factorings": len(hits),
-                        }
-                    )
-                    return True
-                return False
-            for cand in pools[i]:
-                assign[i] = cand
-                if compatible_upto(i) and extend(i + 1):
-                    return True
-            assign[i] = None
-            return False
-
-        if extend(0):
-            return StrictEpiReport(False, found_bad[0], targets_checked, families_checked)
+        for assign in backtrack(pools, ok):
+            families_checked += 1
+            hits = [
+                w
+                for w in hom_xy
+                if all(
+                    Z.equal_mor(Z.compose(w, family[k]), assign[k])
+                    for k in range(len(family))
+                )
+            ]
+            if len(hits) != 1:
+                witness = {
+                    "target": Z.obj_key(Y),
+                    "family": [Z.mor_key(a) for a in assign],
+                    "factorings": len(hits),
+                }
+                return StrictEpiReport(False, witness, targets_checked, families_checked)
     return StrictEpiReport(True, None, targets_checked, families_checked)
 
 

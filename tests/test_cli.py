@@ -5,11 +5,13 @@ The reports must be machine-stable: same argv, same bytes.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import toposkit
 from toposkit.cli import main
 
 DEMO = """
@@ -217,6 +219,41 @@ def test_flat_rejects_doubled_stalk(arrow_ws, capsys):
     assert payload["result"]["element_category_cofiltered"]["flat"] is False
 
 
+POINT_NAMED = """
+category arrow
+  objects s t
+  morphisms
+    s.t : s -> t
+
+category pt
+  objects {point}
+
+handle fin = presheaves on pt bound 3
+
+functor doubled from arrow into fin
+  objects
+    s = x0 x1
+    t = y
+  maps
+    s.t : x0 -> y
+    s.t : x1 -> y
+"""
+
+
+def test_flat_reads_the_point_name_from_the_handle(tmp_path, capsys):
+    # the one-object handle base may name its object anything, not only *
+    results = []
+    for i, point in enumerate(("o", "*")):
+        ws = tmp_path / f"point_{i}.ws"
+        ws.write_text(POINT_NAMED.format(point=point))
+        code = main(["flat", "--input", str(ws), "doubled", "--report", "json"])
+        out = capsys.readouterr().out
+        assert code == 1, f"object {point!r}: exit {code}"
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["element_category_cofiltered"]["flat"] is False
+
+
 def test_continuous_flags_constant_point_at_the_empty_cover(demo_ws, capsys):
     code, payload = run_json(
         ["continuous", "--input", demo_ws, "constpt", "disc"], capsys
@@ -348,11 +385,15 @@ def test_out_writes_both_report_files(demo_ws, tmp_path, capsys):
 
 
 def test_module_entry_point(demo_ws):
+    # the child imports toposkit from wherever this process found it
+    src = os.path.dirname(os.path.dirname(toposkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "toposkit.cli", "validate", "--input", demo_ws,
          "--report", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failed"] is False

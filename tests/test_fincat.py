@@ -3,6 +3,9 @@
 Oracles: natural transformations are cross-checked against an unpruned
 product scan written here, and every universal cone returned by the search
 is re-verified against the raw definition by an independent checker.
+Transformations and cones between functors of the conftest categories
+are also checked in order against a product scan through the validator
+and the cone triangles.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from toposkit.fincat import (
     FinFunctor,
     HandleDiagram,
     Morphism,
+    NatTransf,
     discrete_category,
     enumerate_cones,
     enumerate_nat_transfs,
@@ -276,8 +280,68 @@ def test_nat_transfs_constant_functors():
     assert len(enumerate_nat_transfs(const_a, const_top)) == 1
 
 
+SHAPES = (discrete2, parallel_arrows, lambda: chain(2), z2_group, walking_idempotent)
+TARGETS = (diamond, lambda: chain(3), parallel_arrows, z2_group, walking_idempotent)
+FUNCTORS: dict[tuple[int, int], list[FinFunctor]] = {}
+
+
+def functors_between(j: int, c: int) -> list[FinFunctor]:
+    """Every functor SHAPES[j] -> TARGETS[c], by validating all assignments."""
+    if (j, c) not in FUNCTORS:
+        J, C = SHAPES[j](), TARGETS[c]()
+        objs, mors = sorted(J.objects), sorted(J.non_identities())
+        found = []
+        for images in itertools.product(sorted(C.objects), repeat=len(objs)):
+            obj_map = dict(zip(objs, images))
+            ids = {J.id_of(x): C.id_of(obj_map[x]) for x in objs}
+            pools = [C.hom(obj_map[J.src(m)], obj_map[J.tgt(m)]) for m in mors]
+            for arrows in itertools.product(*pools):
+                F = FinFunctor(f"F{len(found)}", J, C, obj_map, {**ids, **dict(zip(mors, arrows))})
+                if validate_functor(F).ok:
+                    found.append(F)
+        FUNCTORS[(j, c)] = found
+    return FUNCTORS[(j, c)]
+
+
+def draw_functor(data, j: int, c: int) -> FinFunctor:
+    return data.draw(st.sampled_from(functors_between(j, c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nat_transfs_follow_the_validated_product_order(data):
+    j = data.draw(st.integers(0, len(SHAPES) - 1))
+    c = data.draw(st.integers(0, len(TARGETS) - 1))
+    F, G = draw_functor(data, j, c), draw_functor(data, j, c)
+    C, objs = F.cod, sorted(F.dom.objects)
+    pools = [C.hom(F.obj_map[x], G.obj_map[x]) for x in objs]
+    want = [
+        comps
+        for combo in itertools.product(*pools)
+        for comps in [dict(zip(objs, combo))]
+        if validate_nat_transf(NatTransf("t", F, G, comps)).ok
+    ]
+    assert [t.components for t in enumerate_nat_transfs(F, G)] == want
+
+
 # ---------------------------------------------------------------------------
 # cones
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cones_follow_the_product_order_of_the_triangles(data):
+    j = data.draw(st.integers(0, len(SHAPES) - 1))
+    c = data.draw(st.integers(0, len(TARGETS) - 1))
+    D = draw_functor(data, j, c)
+    C, J, jobjs = D.cod, D.dom, sorted(D.dom.objects)
+    want = []
+    for apex in sorted(C.objects):
+        for legs in itertools.product(*[C.hom(apex, D.obj_map[k]) for k in jobjs]):
+            leg = dict(zip(jobjs, legs))
+            if all(C.compose(D.mor_map[m.name], leg[m.src]) == leg[m.tgt] for m in J.morphisms):
+                want.append((apex, leg))
+    assert [(cone.apex, cone.legs) for cone in enumerate_cones(D)] == want
 
 
 def test_meet_is_product_in_poset(diamond_cat):

@@ -6,7 +6,9 @@ tables, so colimit sizes are checked against code that shares nothing
 with the colimit machinery.  Hom counts in FinSet reduce to arithmetic.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -199,6 +201,15 @@ def test_extension_rejects_presheaf_on_wrong_base():
 def test_extension_values_are_memoized():
     H = yoneda_embed(DIAMOND, "top")
     assert tilde_extend(POINT_A, H) is tilde_extend(POINT_A, H)
+
+
+def test_extension_memo_dies_with_its_functor():
+    p = upset_char(DIAMOND, {"a", "top"}, "throwaway")
+    tilde_extend(p, yoneda_embed(DIAMOND, "top"))
+    alive = weakref.ref(p)
+    del p
+    gc.collect()
+    assert alive() is None
 
 
 def test_extension_preserves_identities_and_composition():

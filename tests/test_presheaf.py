@@ -3,7 +3,9 @@ evaluation bijection, elements categories, pointwise (co)limits, density,
 and the bounded presheaf-category handle.
 
 Oracles written here, independent of the library internals:
-  * an unpruned product scan for presheaf morphism enumeration;
+  * an unpruned product scan for presheaf morphism enumeration, and a
+    product scan through the validators that also fixes the order of
+    morphisms, isomorphisms and the census;
   * naive fixpoint partition merging to check union-find quotients;
   * closed-form counts for bounded presheaf enumeration on tiny bases;
   * hand-computed coequalizer / equalizer / product tables.
@@ -16,7 +18,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain, diamond, discrete2, z2_group
+from conftest import chain, diamond, discrete2, parallel_arrows, walking_idempotent, z2_group
 from toposkit.errors import FactorizationError, ResourceBudgetError
 from toposkit.fincat import (
     HandleDiagram,
@@ -30,6 +32,7 @@ from toposkit.fincat import (
 )
 from toposkit.presheaf import (
     PresheafCategory,
+    PresheafMorphism,
     UnionFind,
     category_of_elements,
     compose_presheaf_morphisms,
@@ -170,6 +173,46 @@ def test_enumerated_morphisms_are_natural():
     G = constant_presheaf(C, ["u", "v"])
     for t in enumerate_presheaf_morphisms(F, G):
         assert validate_presheaf_morphism(t).ok
+
+
+def chain3():
+    return chain(3)
+
+
+CENSUS_2 = [
+    enumerate_presheaves(maker(), 2)
+    for maker in (diamond, chain3, discrete2, z2_group, walking_idempotent, parallel_arrows)
+]
+
+
+def validated_morphisms(F, G):
+    """Every component tuple in product order, kept when it validates."""
+    objs = sorted(F.base.objects)
+    pools = [list(itertools.product(G.values[x], repeat=len(F.values[x]))) for x in objs]
+    out = []
+    for combo in itertools.product(*pools):
+        t = PresheafMorphism(
+            F, G, {x: dict(zip(F.values[x], c)) for x, c in zip(objs, combo)}
+        )
+        if validate_presheaf_morphism(t).ok:
+            out.append(t)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_morphisms_and_first_iso_follow_the_validated_product_order(data):
+    census = data.draw(st.sampled_from(CENSUS_2))
+    F = data.draw(st.sampled_from(census))
+    G = data.draw(st.sampled_from(census))
+    want = validated_morphisms(F, G)
+    got = enumerate_presheaf_morphisms(F, G)
+    assert [t.components for t in got] == [t.components for t in want]
+    isos = [t for t in want if is_presheaf_iso(t)]
+    iso = find_presheaf_iso(F, G)
+    assert (iso is None) == (not isos)
+    if isos:
+        assert iso.components == isos[0].components
 
 
 def test_morphism_budget_refuses_instead_of_truncating():
@@ -470,6 +513,45 @@ def test_enumeration_is_deterministic_and_valid():
     assert [p.actions for p in a] == [p.actions for p in b]
     for p in a:
         assert validate_presheaf(p).ok
+
+
+def validated_census(C, bound):
+    """Sizes in product order, then non-identity action tuples in sorted
+    arrow order, kept when the presheaf validates."""
+    objs = sorted(C.objects)
+    mors = sorted(C.non_identities())
+    out = []
+    for sizes in itertools.product(range(bound + 1), repeat=len(objs)):
+        size = dict(zip(objs, sizes))
+        pools = [
+            itertools.product(range(size[C.src(m)]), repeat=size[C.tgt(m)]) for m in mors
+        ]
+        for tables in itertools.product(*pools):
+            F = make_presheaf(
+                C,
+                {x: [f"e{k}" for k in range(size[x])] for x in objs},
+                {m: {f"e{k}": f"e{v}" for k, v in enumerate(t)} for m, t in zip(mors, tables)},
+            )
+            if validate_presheaf(F).ok:
+                out.append(F)
+    return out
+
+
+CENSUS_CASES = [
+    (maker, bound)
+    for maker in (chain3, discrete2, z2_group, walking_idempotent, parallel_arrows)
+    for bound in (0, 1, 2)
+] + [(diamond, 0), (diamond, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(CENSUS_CASES))
+def test_census_follows_the_validated_product_order(case):
+    maker, bound = case
+    C = maker()
+    got = enumerate_presheaves(C, bound)
+    want = validated_census(C, bound)
+    assert [(F.values, F.actions) for F in got] == [(F.values, F.actions) for F in want]
 
 
 def test_enumeration_budget_raises():

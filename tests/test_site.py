@@ -3,7 +3,8 @@
 Oracles come first: a naive common-refinement partition for the plus
 construction, closed-form sheaf models for the two open-cover sites, a
 joint-surjectivity criterion for finite-set families, and the sieve
-subpresheaf route to matching families.
+subpresheaf route to matching families, and the definition of a matching
+family scanned over the full product, which also fixes their order.
 """
 
 import itertools
@@ -298,6 +299,28 @@ def test_matching_families_agree_with_sieve_morphisms(site):
                 }
                 assert via_nats == set(fams)
                 assert len(fams) == len(nats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matching_families_follow_the_product_order_of_the_definition(data):
+    site = data.draw(st.sampled_from([SIER, DISC]))
+    C = site.base
+    F = data.draw(st.sampled_from(PSH_CHAIN3_2 if site is SIER else PSH_DIAMOND_2))
+    X = data.draw(st.sampled_from(sorted(C.objects)))
+    S = data.draw(st.sampled_from(enumerate_sieves(C, X)))
+    arrows = S.sorted_arrows()
+    want = []
+    for fam in itertools.product(*[F.values[C.src(f)] for f in arrows]):
+        at = dict(zip(arrows, fam))
+        # restricting the value at f along g gives the value at f.g
+        if all(
+            F.actions[g][at[f]] == at[C.compose(f, g)]
+            for f in arrows
+            for g in C.arrows_into(C.src(f))
+        ):
+            want.append(fam)
+    assert matching_families(site, S, F) == want
 
 
 def test_empty_sieve_has_one_matching_family():
