@@ -11,11 +11,12 @@ to p itself; the isomorphism components are the colimit legs at the
 identity elements, which are terminal in their element categories.
 
 The right adjoint sends a Z-object to the presheaf of maps out of p, with
-actions by precomposition; the adjunction bijection is executable both
-ways.  Flatness is decided two ways: for set-valued functors by
-cofilteredness of the category of elements, and in general by building
-finite-limit comparison maps up to an explicit budget, where only a
-counterexample is a definitive verdict.
+actions by precomposition; its table for each target is built once and
+kept on p.  The adjunction bijection is executable both ways.  Flatness
+is decided two ways: for set-valued functors by cofilteredness of the
+category of elements, and in general by building finite-limit comparison
+maps up to an explicit budget, where only a counterexample is a
+definitive verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .fincat import (
     discrete_category,
     is_cofiltered,
     make_category,
-    opposite,
     parallel_pair_category,
 )
 from .presheaf import (
@@ -54,6 +54,7 @@ from .presheaf import (
     presheaf_key,
     presheaf_limit,
     short_key,
+    table_key,
     yoneda_embed,
     yoneda_on_mor,
 )
@@ -119,7 +120,7 @@ class ExtensionFunctor:
         key = (
             presheaf_key(t.dom),
             presheaf_key(t.cod),
-            _components_key(t.components),
+            table_key(t.components),
         )
         if key not in self._mors:
             legs = {
@@ -128,13 +129,6 @@ class ExtensionFunctor:
             }
             self._mors[key] = vf.colimit.factor(vg.obj, legs)
         return self._mors[key]
-
-
-def _components_key(components: Mapping[str, Mapping[str, str]]) -> str:
-    return ";".join(
-        f"{X}:{','.join(f'{e}>{c[e]}' for e in sorted(c))}"
-        for X, c in sorted(components.items())
-    )
 
 
 def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
@@ -205,8 +199,15 @@ class HpValue:
 
 
 def _hp_value(p: HandleFunctor, z: Obj) -> HpValue:
+    """The table for one target, built once and kept on p."""
     C = p.dom
     Z = p.cod
+    # obj_key names the table and the hom sets depend on content, so
+    # targets that share only one of the two must not share a slot
+    key = (Z.obj_key(z), presheaf_key(z) if isinstance(z, Presheaf) else None)
+    tables = p._memo.setdefault("hp", {})
+    if key in tables:
+        return tables[key]
     values: dict[str, tuple[str, ...]] = {}
     decode: dict[str, dict[str, Mor]] = {}
     encode: dict[str, dict[str, str]] = {}
@@ -224,7 +225,8 @@ def _hp_value(p: HandleFunctor, z: Obj) -> HpValue:
             act[lab] = encode[m.src][Z.mor_key(Z.compose(u, p.on_mor(m.name)))]
         actions[m.name] = act
     name = f"h_{p.name}({Z.obj_key(z)})"
-    return HpValue(Presheaf(C, values, actions, name), decode, encode)
+    tables[key] = HpValue(Presheaf(C, values, actions, name), decode, encode)
+    return tables[key]
 
 
 def right_adjoint_hp(p: HandleFunctor, z: Obj) -> Presheaf:
@@ -245,41 +247,6 @@ def hp_on_mor(p: HandleFunctor, w: Mor) -> PresheafMorphism:
         for X in p.dom.objects
     }
     return PresheafMorphism(src_v.presheaf, tgt_v.presheaf, comps)
-
-
-def hom_composite(p: HandleFunctor, z: Obj, variance: str) -> Presheaf:
-    """Maps between p and a fixed object, as a presheaf.
-
-    ``contra`` gives the presheaf of maps out of p into z on the domain
-    itself; ``co`` gives the maps from z into p, packaged as a presheaf on
-    the opposite category so both variances reuse one data type.
-    """
-    if variance == "contra":
-        return right_adjoint_hp(p, z)
-    if variance != "co":
-        raise StructureError(f"variance must be 'contra' or 'co', got {variance!r}")
-    C = p.dom
-    Z = p.cod
-    Cop = opposite(C)
-    values: dict[str, tuple[str, ...]] = {}
-    decode: dict[str, dict[str, Mor]] = {}
-    encode: dict[str, dict[str, str]] = {}
-    for X in C.objects:
-        homs = sorted(Z.hom(z, p.obj_map[X]), key=Z.mor_key)
-        labels = tuple(f"m{i}" for i in range(len(homs)))
-        values[X] = labels
-        decode[X] = dict(zip(labels, homs))
-        encode[X] = {Z.mor_key(h): lab for lab, h in zip(labels, homs)}
-    actions: dict[str, dict[str, str]] = {}
-    for m in Cop.morphisms:
-        # in the opposite category the arrow named m runs tgt -> src of
-        # the original, so the action postcomposes with p(m)
-        act = {}
-        for lab in values[m.tgt]:
-            u = decode[m.tgt][lab]
-            act[lab] = encode[m.src][Z.mor_key(Z.compose(p.on_mor(m.name), u))]
-        actions[m.name] = act
-    return Presheaf(Cop, values, actions, f"h^{p.name}({Z.obj_key(z)})")
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ class Presheaf:
     values: Mapping[str, tuple[str, ...]]
     actions: Mapping[str, Mapping[str, str]]
     name: str = field(default="", compare=False)
+    # presheaf_key and short_key, computed on first use; the tables are
+    # never changed after construction, so each lives as long as the instance
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _short: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def at(self, x: str) -> tuple[str, ...]:
         return self.values[x]
@@ -138,6 +142,8 @@ class PresheafMorphism:
     cod: Presheaf
     components: Mapping[str, Mapping[str, str]]
     name: str = field(default="", compare=False)
+    # PresheafCategory.mor_key, computed on first use
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, x: str, e: str) -> str:
         return self.components[x][e]
@@ -283,21 +289,29 @@ def _natural_families(F: Presheaf, G: Presheaf, *, bijective: bool) -> Iterator[
         )
 
 
+def table_key(tables: Mapping[str, Mapping[str, str]]) -> str:
+    """``x:e>v,...;...`` over sorted outer and inner keys."""
+    return ";".join(
+        f"{x}:{','.join(f'{e}>{t[e]}' for e in sorted(t))}"
+        for x, t in sorted(tables.items())
+    )
+
+
 def presheaf_key(F: Presheaf) -> str:
     """Canonical content string; names do not contribute."""
-    vs = ";".join(f"{x}:{','.join(F.values[x])}" for x in sorted(F.values))
-    acts = ";".join(
-        f"{m}:{','.join(f'{e}>{F.actions[m][e]}' for e in sorted(F.actions[m]))}"
-        for m in sorted(F.actions)
-    )
-    return f"{F.base.name}|{vs}|{acts}"
+    if F._key is None:
+        vs = ";".join(f"{x}:{','.join(F.values[x])}" for x in sorted(F.values))
+        object.__setattr__(F, "_key", f"{F.base.name}|{vs}|{table_key(F.actions)}")
+    return F._key
 
 
 def short_key(F: Presheaf) -> str:
     if F.name:
         return F.name
-    digest = hashlib.sha256(presheaf_key(F).encode()).hexdigest()[:10]
-    return f"P#{digest}"
+    if F._short is None:
+        digest = hashlib.sha256(presheaf_key(F).encode()).hexdigest()[:10]
+        object.__setattr__(F, "_short", f"P#{digest}")
+    return F._short
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +765,7 @@ class PresheafCategory(ComputationalCategory):
         self.hom_budget = hom_budget
         self.name = name or f"PSh({base.name})<= {bound}".replace(" ", "")
         self._objects: Optional[list[Presheaf]] = None
-        self._hom_memo: dict[tuple[str, str], tuple[PresheafMorphism, ...]] = {}
+        self._hom_memo: dict[tuple[str, str, str, str], tuple[PresheafMorphism, ...]] = {}
 
     def objects(self) -> list[Presheaf]:
         if self._objects is None:
@@ -786,11 +800,10 @@ class PresheafCategory(ComputationalCategory):
         return short_key(a)
 
     def mor_key(self, m: PresheafMorphism) -> str:
-        comps = ";".join(
-            f"{x}:{','.join(f'{e}>{m.components[x][e]}' for e in sorted(m.components[x]))}"
-            for x in sorted(m.components)
-        )
-        return f"{short_key(m.dom)}->{short_key(m.cod)}[{comps}]"
+        if m._key is None:
+            key = f"{short_key(m.dom)}->{short_key(m.cod)}[{table_key(m.components)}]"
+            object.__setattr__(m, "_key", key)
+        return m._key
 
     def equal_mor(self, f: PresheafMorphism, g: PresheafMorphism) -> bool:
         return f.components == g.components

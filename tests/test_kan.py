@@ -12,12 +12,16 @@ import weakref
 
 import pytest
 
-from toposkit.errors import ConsistencyError, ConstructionRefused, StructureError
+from toposkit.errors import (
+    ConsistencyError,
+    ConstructionRefused,
+    ResourceBudgetError,
+    StructureError,
+)
 from toposkit.fincat import (
     HandleDiagram,
     HandleFunctor,
     discrete_category,
-    opposite,
     parallel_pair_category,
     poset_category,
     terminal_category,
@@ -33,7 +37,6 @@ from toposkit.kan import (
     extension_colimit_comparison,
     extension_limit_comparison,
     extension_terminal_comparison,
-    hom_composite,
     hp_on_mor,
     is_flat_bounded,
     is_flat_setvalued,
@@ -308,18 +311,40 @@ def test_hp_on_mor_is_functorial_postcomposition():
     assert ident.components == presheaf_identity(right_adjoint_hp(p, Z2)).components
 
 
-def test_hom_composite_variances():
+def test_hp_tables_keep_apart_name_clashes_and_content_clashes():
     p = POINT_A
-    assert hom_composite(p, Z2, "contra") == right_adjoint_hp(p, Z2)
-    co = hom_composite(p, Z2, "co")
-    assert co.base == opposite(DIAMOND)
-    assert validate_presheaf(co).ok
-    # maps out of the point are the points of each value
-    co_pt = hom_composite(p, PT, "co")
-    for X in DIAMOND.objects:
-        assert len(co_pt.values[X]) == len(finset_value(p.obj_map[X]))
-    with pytest.raises(StructureError):
-        hom_composite(p, Z2, "middle")
+    # same name, different content: the hom sets differ
+    small, big = finset_obj(["z0"], name="Z"), finset_obj(["z0", "z1"], name="Z")
+    assert right_adjoint_hp(p, small).values != right_adjoint_hp(p, big).values
+    # same content, different name: the name feeds the table and its maps
+    w2 = finset_obj(["z0", "z1"], name="W2")
+    hz, hw = right_adjoint_hp(p, Z2), right_adjoint_hp(p, w2)
+    assert (hz.name, hw.name) == ("h_point_a(Z2)", "h_point_a(W2)")
+    assert hz.values == hw.values and hz.actions == hw.actions
+    assert hp_on_mor(p, FS.identity(w2)).cod is hw
+    # equal targets share one table
+    assert right_adjoint_hp(p, finset_obj(["z0", "z1"], name="Z2")) is hz
+
+
+def test_hp_table_memo_dies_with_its_functor():
+    p = upset_char(DIAMOND, {"a", "top"}, "throwaway")
+    table = weakref.ref(right_adjoint_hp(p, Z2))
+    assert right_adjoint_hp(p, Z2) is table()
+    alive = weakref.ref(p)
+    del p
+    gc.collect()
+    assert alive() is None and table() is None
+
+
+def test_hp_budget_refusal_is_raised_again_and_never_cached():
+    FS_tight = finset_category(3, hom_budget=4)
+    p = HandleFunctor("pick_S2", ONE, FS_tight, {"*": S2}, {})
+    T3 = finset_obj(["t0", "t1", "t2"], name="T3")  # 9 maps S2 -> T3
+    for _ in range(2):
+        with pytest.raises(ResourceBudgetError):
+            right_adjoint_hp(p, T3)
+    FS_tight.hom_budget = 100
+    assert len(right_adjoint_hp(p, T3).values["*"]) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Oracles written here, independent of the library internals:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -49,8 +51,10 @@ from toposkit.presheaf import (
     make_presheaf,
     presheaf_colimit,
     presheaf_identity,
+    presheaf_key,
     presheaf_limit,
     representing_object,
+    short_key,
     validate_presheaf,
     validate_presheaf_morphism,
     yoneda_backward,
@@ -213,6 +217,49 @@ def test_morphisms_and_first_iso_follow_the_validated_product_order(data):
     assert (iso is None) == (not isos)
     if isos:
         assert iso.components == isos[0].components
+
+
+def oracle_presheaf_key(F):
+    """presheaf_key as a plain string formula, rebuilt on every call."""
+    vs = ";".join(f"{x}:{','.join(F.values[x])}" for x in sorted(F.values))
+    acts = ";".join(
+        f"{m}:{','.join(f'{e}>{F.actions[m][e]}' for e in sorted(F.actions[m]))}"
+        for m in sorted(F.actions)
+    )
+    return f"{F.base.name}|{vs}|{acts}"
+
+
+def oracle_short_key(F):
+    if F.name:
+        return F.name
+    return f"P#{hashlib.sha256(oracle_presheaf_key(F).encode()).hexdigest()[:10]}"
+
+
+def oracle_mor_key(t):
+    comps = ";".join(
+        f"{x}:{','.join(f'{e}>{t.components[x][e]}' for e in sorted(t.components[x]))}"
+        for x in sorted(t.components)
+    )
+    return f"{oracle_short_key(t.dom)}->{oracle_short_key(t.cod)}[{comps}]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_keys_match_the_string_formulas(data):
+    census = data.draw(st.sampled_from(CENSUS_2))
+    F = data.draw(st.sampled_from(census))
+    G = data.draw(st.sampled_from(census))
+    if data.draw(st.booleans()):
+        # a renamed copy starts with empty caches and must not read F's
+        F = dataclasses.replace(F, name="F")
+    PS = PresheafCategory(F.base, 2)
+    homs = PS.hom(F, G)
+    for _ in range(2):  # the first pass fills the caches, the second reads them
+        for P in (F, G):
+            assert presheaf_key(P) == oracle_presheaf_key(P)
+            assert short_key(P) == oracle_short_key(P)
+        for t in homs:
+            assert PS.mor_key(t) == oracle_mor_key(t)
 
 
 def test_morphism_budget_refuses_instead_of_truncating():
