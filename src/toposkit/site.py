@@ -19,6 +19,13 @@ object has a minimal covering sieve and matching-family classes are
 canonically labeled by their restriction to it; a naive common-refinement
 comparison is kept in the test suite as an oracle.
 
+Both sheaf checks and the plus construction read a ``SitePlan`` instead
+of re-deriving the site on every call: the minimal and the covering
+sieves as arrow tuples with their constraints, the position of m.g in the
+minimal sieve for every arrow m, and the spans of the declared covers.
+It is compiled on first use and kept in the site's cache, so it lives as
+long as the site.
+
 The same file hosts the epi-family machinery: the strict epimorphic family
 check against the targets of a computational-category handle, universality
 by base change, the canonical pretopology of a finite category, continuity
@@ -252,24 +259,124 @@ def validate_site(site: Site) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# matching families
+# the compiled site plan
 
 
-def _sieve_structure(site: Site, S: Sieve) -> tuple[tuple[str, ...], list[tuple[int, str, int]]]:
-    """Arrow order and constraint triples (position of f, g, position of f.g)."""
-    key = ("sieve-structure", S)
-    if key in site._cache:
-        return site._cache[key]
-    C = site.base
+@dataclass(frozen=True)
+class SievePlan:
+    """One sieve compiled for the matching-family search.
+
+    ``arrows`` are the sieve's arrows in sorted order, ``sources`` their
+    sources, and ``by_pos[k]`` the constraint triples (position of f, g,
+    position of f.g) whose later position is k.
+    """
+
+    arrows: tuple[str, ...]
+    sources: tuple[str, ...]
+    by_pos: tuple[tuple[tuple[int, str, int], ...], ...]
+
+
+def _compile_sieve(C: FinCategory, S: Sieve) -> SievePlan:
     arrows = S.sorted_arrows()
     pos = {f: i for i, f in enumerate(arrows)}
-    triples: list[tuple[int, str, int]] = []
+    by_pos: list[list[tuple[int, str, int]]] = [[] for _ in arrows]
     for f in arrows:
         for g in C.non_identities():
             if C.tgt(g) == C.src(f):
-                triples.append((pos[f], g, pos[C.compose(f, g)]))
-    site._cache[key] = (arrows, triples)
-    return arrows, triples
+                f_pos, fg_pos = pos[f], pos[C.compose(f, g)]
+                by_pos[max(f_pos, fg_pos)].append((f_pos, g, fg_pos))
+    return SievePlan(arrows, tuple(C.src(f) for f in arrows), tuple(map(tuple, by_pos)))
+
+
+@dataclass(frozen=True)
+class CoverPlan:
+    """One declared cover compiled for the compatible-family search.
+
+    ``by_later[j]`` holds the spans (i, g, h) with fam[i].g == fam[j].h
+    and i <= j, up to symmetry.
+    """
+
+    fam: tuple[str, ...]
+    sources: tuple[str, ...]
+    by_later: tuple[tuple[tuple[int, str, str], ...], ...]
+
+
+def _compile_cover(C: FinCategory, fam: tuple[str, ...]) -> CoverPlan:
+    by_later: list[list[tuple[int, str, str]]] = [[] for _ in fam]
+    for i, fi in enumerate(fam):
+        for j in range(i, len(fam)):
+            fj = fam[j]
+            for W in C.objects:
+                for g in C.hom(W, C.src(fi)):
+                    for h in C.hom(W, C.src(fj)):
+                        if C.compose(fi, g) == C.compose(fj, h):
+                            by_later[j].append((i, g, h))
+    return CoverPlan(fam, tuple(C.src(f) for f in fam), tuple(map(tuple, by_later)))
+
+
+class SitePlan:
+    """Everything the sheaf checks and the plus construction read off a site.
+
+    ``minimal[X]`` is the compiled minimal covering sieve of X, and
+    ``covering[X]`` the compiled non-maximal covering sieves of X in
+    topology order.  ``restrict[m]``, for m: W -> X, lists for each arrow
+    g of the minimal sieve on W the position of m.g in the minimal sieve
+    on X.  ``covers[X]`` holds the compiled declared covers of X, in
+    declared order.  ``sieves`` holds every sieve compiled so far; other
+    sieves are added on first request.  Built by ``site_plan`` once per
+    site.
+    """
+
+    def __init__(self, site: Site) -> None:
+        C = self.base = site.base
+        self.sieves: dict[Sieve, SievePlan] = {}
+        self.minimal = {X: self.sieve(site.minimal[X]) for X in C.objects}
+        self.covering: dict[str, tuple[SievePlan, ...]] = {}
+        for X in C.objects:
+            mx = maximal_sieve(C, X)
+            self.covering[X] = tuple(self.sieve(S) for S in site.topology[X] if S != mx)
+        self.restrict: dict[str, tuple[int, ...]] = {}
+        for m in C.morphisms:
+            x_pos = {f: i for i, f in enumerate(self.minimal[m.tgt].arrows)}
+            self.restrict[m.name] = tuple(
+                x_pos[C.compose(m.name, g)] for g in self.minimal[m.src].arrows
+            )
+        self.covers = {
+            X: tuple(_compile_cover(C, fam) for fam in fams)
+            for X, fams in sorted(site.covers.items())
+        }
+
+    def sieve(self, S: Sieve) -> SievePlan:
+        """The compiled form of S, compiled on first request."""
+        sp = self.sieves.get(S)
+        if sp is None:
+            sp = self.sieves[S] = _compile_sieve(self.base, S)
+        return sp
+
+
+def site_plan(site: Site) -> SitePlan:
+    """The plan of a site, compiled on first use and kept in its cache."""
+    plan = site._cache.get("plan")
+    if plan is None:
+        plan = site._cache["plan"] = SitePlan(site)
+    return plan
+
+
+# ---------------------------------------------------------------------------
+# matching families
+
+
+def _families(sp: SievePlan, F: Presheaf) -> list[tuple[str, ...]]:
+    acts = F.actions
+    by_pos = [[(i, acts[g], j) for i, g, j in cons] for cons in sp.by_pos]
+
+    def ok(k: int, assign: list) -> bool:
+        for f_pos, g_act, fg_pos in by_pos[k]:
+            if g_act[assign[f_pos]] != assign[fg_pos]:
+                return False
+        return True
+
+    return list(backtrack([F.values[Y] for Y in sp.sources], ok))
 
 
 def matching_families(site: Site, S: Sieve, F: Presheaf) -> list[tuple[str, ...]]:
@@ -281,25 +388,7 @@ def matching_families(site: Site, S: Sieve, F: Presheaf) -> list[tuple[str, ...]
     restriction is checked at the later of f and f.g, so the families come
     in the order of filtering the product of the value sets.
     """
-    C = site.base
-    arrows, triples = _sieve_structure(site, S)
-    by_pos: list[list[tuple[int, Mapping[str, str], int]]] = [[] for _ in arrows]
-    for f_pos, g, fg_pos in triples:
-        by_pos[max(f_pos, fg_pos)].append((f_pos, F.actions[g], fg_pos))
-
-    def ok(i: int, assign: list) -> bool:
-        for f_pos, g_act, fg_pos in by_pos[i]:
-            if g_act[assign[f_pos]] != assign[fg_pos]:
-                return False
-        return True
-
-    return list(backtrack([F.values[C.src(f)] for f in arrows], ok))
-
-
-def restriction_family(site: Site, S: Sieve, F: Presheaf, x: str) -> tuple[str, ...]:
-    """The family obtained by restricting one element along every arrow of S."""
-    arrows, _ = _sieve_structure(site, S)
-    return tuple(F.actions[f][x] for f in arrows)
+    return _families(site_plan(site).sieve(S), F)
 
 
 # ---------------------------------------------------------------------------
@@ -316,33 +405,43 @@ class SheafReport:
         return {"ok": self.ok, "witness": self.witness, "checked": self.checked}
 
 
+def _restrictions(F: Presheaf, X: str, arrows: Sequence[str]) -> list[tuple[str, ...]]:
+    """For each element of F(X), in value order, its restrictions along arrows."""
+    rows = [F.actions[f] for f in arrows]
+    return [tuple([r[x] for r in rows]) for x in F.values[X]]
+
+
+def _amalgamations(F: Presheaf, X: str, arrows: Sequence[str]) -> dict[tuple[str, ...], list[str]]:
+    """The elements of F(X) grouped by their restrictions along arrows."""
+    out: dict[tuple[str, ...], list[str]] = {}
+    for x, fam in zip(F.values[X], _restrictions(F, X, arrows)):
+        out.setdefault(fam, []).append(x)
+    return out
+
+
 def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
     """Sieve-form sheaf condition over the saturated topology.
 
     The maximal sieve is skipped: it contains the identity, and a matching
     family is then freely and uniquely determined by its value there.
     """
-    C = site.base
+    plan = site_plan(site)
     checked = 0
-    for X in sorted(C.objects):
-        mx = maximal_sieve(C, X)
-        for S in site.topology[X]:
-            if S == mx:
-                continue
+    for X in sorted(site.base.objects):
+        for sp in plan.covering[X]:
             checked += 1
-            families = matching_families(site, S, F)
+            families = _families(sp, F)
             family_set = set(families)
             if len(family_set) != len(families):
                 raise ConsistencyError("matching family enumeration repeated a family")
             seen: dict[tuple[str, ...], str] = {}
-            for x in F.values[X]:
-                fam = restriction_family(site, S, F, x)
+            for x, fam in zip(F.values[X], _restrictions(F, X, sp.arrows)):
                 if fam in seen:
                     return SheafReport(
                         False,
                         {
                             "object": X,
-                            "sieve": list(S.sorted_arrows()),
+                            "sieve": list(sp.arrows),
                             "kind": "not-separated",
                             "elements": [seen[fam], x],
                         },
@@ -357,32 +456,13 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
                     False,
                     {
                         "object": X,
-                        "sieve": list(S.sorted_arrows()),
+                        "sieve": list(sp.arrows),
                         "kind": "no-amalgamation",
                         "family": list(missing),
                     },
                     checked,
                 )
     return SheafReport(True, None, checked)
-
-
-def _cover_spans(site: Site, X: str, fam: tuple[str, ...]) -> list[tuple[int, int, str, str]]:
-    """Spans (i, j, g, h) with fam[i].g == fam[j].h, up to symmetry."""
-    key = ("cover-spans", X, fam)
-    if key in site._cache:
-        return site._cache[key]
-    C = site.base
-    spans: list[tuple[int, int, str, str]] = []
-    for i, fi in enumerate(fam):
-        for j in range(i, len(fam)):
-            fj = fam[j]
-            for W in C.objects:
-                for g in C.hom(W, C.src(fi)):
-                    for h in C.hom(W, C.src(fj)):
-                        if C.compose(fi, g) == C.compose(fj, h):
-                            spans.append((i, j, g, h))
-    site._cache[key] = spans
-    return spans
 
 
 def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
@@ -395,34 +475,28 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
     of the value sets, each span checked at its later member, so the
     witness is the first failing family in that order.
     """
-    C = site.base
+    acts = F.actions
     checked = 0
-    for X in sorted(site.covers):
-        for fam in site.covers[X]:
+    for X, covers in site_plan(site).covers.items():
+        for cp in covers:
             checked += 1
-            spans = _cover_spans(site, X, fam)
-            by_later: list[list[tuple[int, str, str]]] = [[] for _ in fam]
-            for a, b, g, h in spans:
-                by_later[b].append((a, g, h))
+            by_later = [[(a, acts[g], acts[h]) for a, g, h in spans] for spans in cp.by_later]
 
             def ok(i: int, assign: list) -> bool:
-                return all(
-                    F.actions[g][assign[a]] == F.actions[h][assign[i]]
-                    for a, g, h in by_later[i]
-                )
+                for a, g_act, h_act in by_later[i]:
+                    if g_act[assign[a]] != h_act[assign[i]]:
+                        return False
+                return True
 
-            for tup in backtrack([F.values[C.src(f)] for f in fam], ok):
-                hits = [
-                    x
-                    for x in F.values[X]
-                    if all(F.actions[f][x] == tup[i] for i, f in enumerate(fam))
-                ]
+            amalgamations = _amalgamations(F, X, cp.fam)
+            for tup in backtrack([F.values[Y] for Y in cp.sources], ok):
+                hits = amalgamations.get(tup, [])
                 if len(hits) != 1:
                     return SheafReport(
                         False,
                         {
                             "object": X,
-                            "cover": list(fam),
+                            "cover": list(cp.fam),
                             "kind": "no-amalgamation" if not hits else "not-unique",
                             "family": list(tup),
                             "amalgamations": hits,
@@ -455,15 +529,18 @@ class PlusResult:
 
 
 def plus_construction(F: Presheaf, site: Site) -> PlusResult:
+    plan = site_plan(site)
     C = site.base
     values: dict[str, tuple[str, ...]] = {}
     decode: dict[str, dict[str, tuple[str, ...]]] = {}
     encode: dict[str, dict[tuple[str, ...], str]] = {}
+    unit_comps: dict[str, dict[str, str]] = {}
     for X in C.objects:
-        fams = sorted(matching_families(site, site.minimal[X], F))
+        sp = plan.minimal[X]
+        fams = sorted(_families(sp, F))
+        restricted = _restrictions(F, X, sp.arrows)
         preimage: dict[tuple[str, ...], str] = {}
-        for x in F.values[X]:
-            fam = restriction_family(site, site.minimal[X], F, x)
+        for x, fam in zip(F.values[X], restricted):
             preimage.setdefault(fam, x)
         used = set(preimage.values())
         labels = []
@@ -478,47 +555,34 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
                 used.add(f"p{fresh}")
         values[X] = tuple(sorted(labels))
         decode[X] = dict(zip(labels, fams))
-        encode[X] = dict(zip(fams, labels))
+        encode[X] = enc = dict(zip(fams, labels))
+        unit_comps[X] = {x: enc[fam] for x, fam in zip(F.values[X], restricted)}
     actions: dict[str, dict[str, str]] = {}
     for m in C.morphisms:
-        W, X = m.src, m.tgt
-        w_arrows, _ = _sieve_structure(site, site.minimal[W])
-        x_arrows, _ = _sieve_structure(site, site.minimal[X])
-        x_pos = {f: i for i, f in enumerate(x_arrows)}
-        act: dict[str, str] = {}
-        for label in values[X]:
-            fam = decode[X][label]
-            # restrict along m: the arrow g below sits in the pullback of
-            # the minimal sieve on X, so m.g indexes into fam
-            restricted = tuple(fam[x_pos[C.compose(m.name, g)]] for g in w_arrows)
-            act[label] = encode[W][restricted]
-        actions[m.name] = act
-    plus = Presheaf(C, values, actions, f"{F.name}+" if F.name else "+")
-    unit_comps = {
-        X: {
-            x: encode[X][restriction_family(site, site.minimal[X], F, x)]
-            for x in F.values[X]
+        # restrict along m: m.g for g in the minimal sieve on the source
+        # sits in the minimal sieve on the target, at the indexed position
+        idx = plan.restrict[m.name]
+        enc, dec = encode[m.src], decode[m.tgt]
+        actions[m.name] = {
+            label: enc[tuple([dec[label][i] for i in idx])] for label in values[m.tgt]
         }
-        for X in C.objects
-    }
+    plus = Presheaf(C, values, actions, f"{F.name}+" if F.name else "+")
     unit = PresheafMorphism(F, plus, unit_comps, "to-plus")
     return PlusResult(plus, unit, decode, encode)
 
 
+def _push(t: PresheafMorphism, sp: SievePlan, fam: tuple[str, ...]) -> tuple[str, ...]:
+    """The family t sends fam to, fam being over the arrows of sp."""
+    return tuple([t.components[Y][v] for Y, v in zip(sp.sources, fam)])
+
+
 def plus_on_morphism(site: Site, pf: PlusResult, pg: PlusResult, t: PresheafMorphism) -> PresheafMorphism:
     """Functorial action of one plus step on a presheaf morphism."""
-    C = site.base
+    plan = site_plan(site)
     comps: dict[str, dict[str, str]] = {}
-    for X in C.objects:
-        arrows, _ = _sieve_structure(site, site.minimal[X])
-        comp: dict[str, str] = {}
-        for label in pf.presheaf.values[X]:
-            fam = pf.decode[X][label]
-            mapped = tuple(
-                t.components[C.src(f)][fam[i]] for i, f in enumerate(arrows)
-            )
-            comp[label] = pg.encode[X][mapped]
-        comps[X] = comp
+    for X in site.base.objects:
+        sp, dec, enc = plan.minimal[X], pf.decode[X], pg.encode[X]
+        comps[X] = {label: enc[_push(t, sp, dec[label])] for label in pf.presheaf.values[X]}
     return PresheafMorphism(pf.presheaf, pg.presheaf, comps)
 
 
@@ -559,19 +623,14 @@ def _plus_factor(site: Site, pr: PlusResult, T: Presheaf, t: PresheafMorphism) -
     Each class is a matching family over the minimal sieve; pushing it into
     T gives a matching family there, whose unique amalgamation is the value.
     """
-    C = site.base
+    plan = site_plan(site)
     comps: dict[str, dict[str, str]] = {}
-    for X in C.objects:
-        arrows, _ = _sieve_structure(site, site.minimal[X])
+    for X in site.base.objects:
+        sp = plan.minimal[X]
+        amalgamations = _amalgamations(T, X, sp.arrows)
         comp: dict[str, str] = {}
         for label in pr.presheaf.values[X]:
-            fam = pr.decode[X][label]
-            pushed = tuple(t.components[C.src(f)][fam[i]] for i, f in enumerate(arrows))
-            hits = [
-                x
-                for x in T.values[X]
-                if restriction_family(site, site.minimal[X], T, x) == pushed
-            ]
+            hits = amalgamations.get(_push(t, sp, pr.decode[X][label]), [])
             if len(hits) != 1:
                 raise FactorizationError(
                     f"plus factoring through a non-sheaf target at {X}: "
@@ -1065,18 +1124,3 @@ def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> Presh
     }
     return post.factor(apex_res.sheaf, lifted)
 
-
-def topology_as_dict(site: Site) -> dict:
-    """Plain-data view of a site for report and export paths."""
-    return {
-        "name": site.name,
-        "base": site.base.name,
-        "covers": {X: [list(f) for f in fams] for X, fams in sorted(site.covers.items())},
-        "topology": {
-            X: [list(S.sorted_arrows()) for S in site.topology[X]]
-            for X in sorted(site.base.objects)
-        },
-        "minimal": {
-            X: list(site.minimal[X].sorted_arrows()) for X in sorted(site.base.objects)
-        },
-    }

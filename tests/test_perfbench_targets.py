@@ -1,15 +1,20 @@
-"""The traced benchmark patches toposkit functions by name.
+"""The benchmark under ``perfbench/`` stays runnable.
 
-``perfbench/tracer.py`` lists them in ``TARGETS``.  This test loads that
-file without registering it as a module and checks that every
+The traced benchmark patches toposkit functions by name.
+``perfbench/tracer.py`` lists them in ``TARGETS``.  The first test loads
+that file without registering it as a module and checks that every
 ``(owner, attribute)`` pair still resolves, so a rename fails here
-rather than in the traced benchmark run.
+rather than in the traced benchmark run.  The second runs the
+benchmark's own self-test, so a change that breaks its oracles, its
+tracer or a workload fails here too.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -38,3 +43,14 @@ def test_every_traced_target_resolves():
         if not found:
             missing.append((layer, owner, attr))
     assert missing == []
+
+
+def test_benchmark_self_test_passes():
+    # oracles, self-time arithmetic, tracer install and restore, and each
+    # workload at its tiny size, traced and untraced
+    root = TRACER.parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:]

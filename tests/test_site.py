@@ -64,13 +64,11 @@ from toposkit.site import (
     plus_construction,
     plus_on_morphism,
     pullback_sieve,
-    restriction_family,
     sheaf_category,
     sheafification_limit_comparison,
     sheafify,
     sheafify_morphism,
     sieve_generated,
-    topology_as_dict,
     validate_site,
 )
 
@@ -133,9 +131,8 @@ def oracle_jointly_surjective(fam, target) -> bool:
     return hit == set(target.values["*"])
 
 
-def _restrict_pair(site, S, fam, R):
-    arrows, _ = site._cache[("sieve-structure", S)]
-    pos = {f: i for i, f in enumerate(arrows)}
+def _restrict_pair(S, fam, R):
+    pos = {f: i for i, f in enumerate(S.sorted_arrows())}
     r_arrows = R.sorted_arrows()
     return tuple(fam[pos[f]] for f in r_arrows)
 
@@ -161,7 +158,7 @@ def oracle_plus_partition(site: Site, F: Presheaf, X: str):
             Sj, fj = pairs[j]
             for R in site.topology[X]:
                 if R.arrows <= (Si.arrows & Sj.arrows):
-                    if _restrict_pair(site, Si, fi, R) == _restrict_pair(site, Sj, fj, R):
+                    if _restrict_pair(Si, fi, R) == _restrict_pair(Sj, fj, R):
                         ri, rj = find(i), find(j)
                         if ri != rj:
                             parent[ri] = rj
@@ -259,13 +256,6 @@ def test_cover_validation_errors():
         generate_topology(C, {"top": [["bot.a"]]})
     with pytest.raises(StructureError):
         generate_topology(C, {"top": [["ghost"]]})
-
-
-def test_topology_as_dict_round_data():
-    d = topology_as_dict(DISC)
-    assert d["covers"]["top"] == [["a.top", "b.top"]]
-    assert ["a.top", "b.top", "bot.top"] in d["topology"]["top"]
-    assert d["minimal"]["bot"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,7 @@ def test_plus_classes_match_common_refinement_oracle(i):
     for X in DISC.base.objects:
         pairs, roots = oracle_plus_partition(DISC, F, X)
         labels = [
-            pr.encode[X][_restrict_pair(DISC, S, fam, DISC.minimal[X])]
+            pr.encode[X][_restrict_pair(S, fam, DISC.minimal[X])]
             for S, fam in pairs
         ]
         # same oracle class exactly when the minimal-sieve label agrees
