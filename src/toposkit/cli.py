@@ -19,7 +19,7 @@ from typing import Any, Optional
 from .errors import ToposkitError, WorkspaceParseError
 from .fincat import validate_category, validate_handle_functor
 from .kan import is_flat_bounded, is_flat_setvalued, right_adjoint_hp, tilde_extend
-from .presheaf import Presheaf, is_presheaf_iso, validate_presheaf
+from .presheaf import Presheaf, PresheafCategory, is_presheaf_iso, validate_presheaf
 from .site import (
     canonical_pretopology,
     epsilon,
@@ -190,7 +190,9 @@ def _cmd_adjoint(ws: Workspace, args, _perr) -> tuple[dict, bool]:
 def _cmd_flat(ws: Workspace, args, _perr) -> tuple[dict, bool]:
     p = ws.functor(args.functor)
     payload: dict = {"functor": args.functor}
-    set_valued = len(p.cod.base.objects) == 1 if hasattr(p.cod, "base") else False
+    # a sheaf handle is a PresheafCategory too, but its objects are not
+    # plain finite sets, so only presheaves on one object qualify
+    set_valued = type(p.cod) is PresheafCategory and len(p.cod.base.objects) == 1
     flat_votes = []
     if set_valued:
         sw = is_flat_setvalued(p)

@@ -67,14 +67,6 @@ class ValidationReport:
     def add(self, law: str, witness: tuple, detail: str) -> None:
         self.violations.append(Violation(law, witness, detail))
 
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            first = self.violations[0]
-            raise StructureError(
-                f"{self.subject}: {len(self.violations)} violation(s); "
-                f"first: [{first.law}] {first.detail}"
-            )
-
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,
@@ -167,9 +159,6 @@ class FinCategory:
 
     def arrows_into(self, x: str) -> tuple[str, ...]:
         return tuple(sorted(m.name for m in self.morphisms if m.tgt == x))
-
-    def arrows_from(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(m.name for m in self.morphisms if m.src == x))
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         for g in self.morphisms:
@@ -369,7 +358,7 @@ def opposite(C: FinCategory) -> FinCategory:
 
 
 # ---------------------------------------------------------------------------
-# functors and natural transformations
+# functors
 
 
 @dataclass(frozen=True)
@@ -380,19 +369,8 @@ class FinFunctor:
     obj_map: Mapping[str, str]
     mor_map: Mapping[str, str]
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
     def on_mor(self, m: str) -> str:
         return self.mor_map[m]
-
-
-def identity_functor(C: FinCategory) -> FinFunctor:
-    return FinFunctor(
-        f"1_{C.name}", C, C,
-        {x: x for x in C.objects},
-        {m.name: m.name for m in C.morphisms},
-    )
 
 
 def validate_functor(F: FinFunctor) -> ValidationReport:
@@ -418,90 +396,6 @@ def validate_functor(F: FinFunctor) -> ValidationReport:
         rhs = F.cod.compose(F.mor_map[g], F.mor_map[f])
         if lhs != rhs:
             rep.add("composition", (g, f), f"F({g}.{f}) = {lhs} != F({g}).F({f}) = {rhs}")
-    return rep
-
-
-@dataclass(frozen=True)
-class NatTransf:
-    name: str
-    dom: FinFunctor
-    cod: FinFunctor
-    components: Mapping[str, str]
-
-
-def validate_nat_transf(a: NatTransf) -> ValidationReport:
-    rep = ValidationReport(subject=f"transformation {a.name}")
-    F, G = a.dom, a.cod
-    if F.dom != G.dom or F.cod != G.cod:
-        rep.add("frame", (F.name, G.name), "source and target functors are not parallel")
-        return rep
-    C = F.cod
-    for x in F.dom.objects:
-        cx = a.components.get(x)
-        if cx is None or not C.has_mor(cx):
-            rep.add("component-missing", (x,), f"no component at {x}")
-            continue
-        if C.src(cx) != F.obj_map[x] or C.tgt(cx) != G.obj_map[x]:
-            rep.add("component-endpoints", (x, cx), f"component at {x} has wrong endpoints")
-    if not rep.ok:
-        return rep
-    for m in F.dom.morphisms:
-        x, y = m.src, m.tgt
-        lhs = C.compose(a.components[y], F.mor_map[m.name])
-        rhs = C.compose(G.mor_map[m.name], a.components[x])
-        if lhs != rhs:
-            rep.add("naturality", (m.name,), f"square at {m.name} does not commute")
-    return rep
-
-
-def enumerate_nat_transfs(F: FinFunctor, G: FinFunctor) -> tuple[NatTransf, ...]:
-    """All natural transformations F => G, in lexicographic component order.
-
-    One search variable per object of the domain, in sorted order, with
-    the components of hom(F x, G x) in hom order as its domain; a
-    naturality square is checked at the later of its two objects.  The
-    order is that of filtering the product of the component homs.
-    """
-    if F.dom != G.dom or F.cod != G.cod:
-        raise StructureError("enumerate_nat_transfs: functors are not parallel")
-    C = F.cod
-    objs = sorted(F.dom.objects)
-    pos = {x: i for i, x in enumerate(objs)}
-    squares: list[list[tuple[int, str, str, int]]] = [[] for _ in objs]
-    for m in F.dom.non_identities():
-        x, y = pos[F.dom.src(m)], pos[F.dom.tgt(m)]
-        squares[max(x, y)].append((y, F.mor_map[m], G.mor_map[m], x))
-
-    def ok(i: int, chosen: list) -> bool:
-        return all(
-            C.compose(chosen[y], fm) == C.compose(gm, chosen[x])
-            for y, fm, gm, x in squares[i]
-        )
-
-    domains = [C.hom(F.obj_map[x], G.obj_map[x]) for x in objs]
-    return tuple(
-        NatTransf(f"{F.name}=>{G.name}#{n}", F, G, dict(zip(objs, comps)))
-        for n, comps in enumerate(backtrack(domains, ok))
-    )
-
-
-def is_fully_faithful(F: FinFunctor) -> ValidationReport:
-    """Check that every hom map of F is a bijection, with witnesses."""
-    rep = ValidationReport(subject=f"functor {F.name} fully faithful")
-    for x in F.dom.objects:
-        for y in F.dom.objects:
-            image: dict[str, str] = {}
-            for f in F.dom.hom(x, y):
-                ff = F.mor_map[f]
-                if ff in image:
-                    rep.add(
-                        "faithful", (x, y, image[ff], f),
-                        f"{image[ff]} and {f} in hom({x}, {y}) both map to {ff}",
-                    )
-                image[ff] = f
-            for g in F.cod.hom(F.obj_map[x], F.obj_map[y]):
-                if g not in image:
-                    rep.add("full", (x, y, g), f"{g} is not hit from hom({x}, {y})")
     return rep
 
 
@@ -631,18 +525,13 @@ def is_cofiltered(C: FinCategory) -> ValidationReport:
 class HandleDiagram:
     """A diagram in a handle: index category plus value assignments.
 
-    ``mors`` covers the non-identity morphisms of the index; identities
-    resolve to identity morphisms of the handle.
+    ``mors`` covers only the non-identity morphisms of the index; the
+    (co)limit routines take an index identity to the identity of its value.
     """
 
     index: FinCategory
     obs: Mapping[str, Obj]
     mors: Mapping[str, Mor]
-
-    def mor_value(self, ops: "ComputationalCategory", m: str) -> Mor:
-        if self.index.is_identity(m):
-            return ops.identity(self.obs[self.index.src(m)])
-        return self.mors[m]
 
 
 @dataclass
@@ -730,10 +619,6 @@ class ComputationalCategory(ABC):
     def terminal(self) -> Obj:
         empty = make_category("empty", ())
         return self.limit(HandleDiagram(empty, {}, {})).apex
-
-    def initial(self) -> Obj:
-        empty = make_category("empty", ())
-        return self.colimit(HandleDiagram(empty, {}, {})).apex
 
 
 class FinCatHandle(ComputationalCategory):
@@ -827,9 +712,6 @@ class HandleFunctor:
     # they live exactly as long as the functor does
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def on_obj(self, x: str) -> Obj:
-        return self.obj_map[x]
-
     def on_mor(self, m: str) -> Mor:
         if self.dom.is_identity(m):
             return self.cod.identity(self.obj_map[self.dom.src(m)])
@@ -862,25 +744,3 @@ def validate_handle_functor(p: HandleFunctor) -> ValidationReport:
             rep.add("composition", (g, f), f"value of {g}.{f} differs from composite")
     return rep
 
-
-def is_handle_fully_faithful(p: HandleFunctor) -> ValidationReport:
-    """Faithfulness and fullness of a handle-valued functor, hom by hom."""
-    rep = ValidationReport(subject=f"functor {p.name} into {p.cod.name}")
-    Z = p.cod
-    for x in p.dom.objects:
-        for y in p.dom.objects:
-            dom_hom = p.dom.hom(x, y)
-            images = [p.on_mor(m) for m in dom_hom]
-            for i in range(len(images)):
-                for j in range(i + 1, len(images)):
-                    if Z.equal_mor(images[i], images[j]):
-                        rep.add(
-                            "faithful",
-                            (dom_hom[i], dom_hom[j]),
-                            f"{dom_hom[i]} and {dom_hom[j]} collapse",
-                        )
-            cod_hom = Z.hom(p.obj_map[x], p.obj_map[y])
-            for w in cod_hom:
-                if not any(Z.equal_mor(w, im) for im in images):
-                    rep.add("full", (x, y), f"a map {x}->{y} downstairs has no preimage")
-    return rep

@@ -22,7 +22,7 @@ definitive verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 from .errors import (
     ConsistencyError,
@@ -50,7 +50,6 @@ from .presheaf import (
     element_node,
     enumerate_presheaf_morphisms,
     enumerate_presheaves,
-    presheaf_colimit,
     presheaf_key,
     presheaf_limit,
     short_key,
@@ -296,7 +295,7 @@ def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
 
 
 # ---------------------------------------------------------------------------
-# comparison maps for exactness and cocontinuity
+# comparison maps for exactness
 
 
 def extension_terminal_comparison(p: HandleFunctor) -> Mor:
@@ -324,30 +323,6 @@ def extension_limit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
     legs = {
         j: tilde_extend_mor(
             p, PresheafMorphism(pre.apex, diagram.obs[j], pre.legs[j].components)
-        )
-        for j in diagram.obs
-    }
-    return post.factor(apex.obj, legs)
-
-
-def extension_colimit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
-    """The canonical map colim(extension of D) -> extension(colim D).
-
-    Cocontinuity of the extension says this is always an isomorphism.
-    """
-    Z = p.cod
-    pre = presheaf_colimit(diagram)
-    nodes = {j: tilde_extend(p, P) for j, P in diagram.obs.items()}
-    z_diagram = HandleDiagram(
-        diagram.index,
-        {j: nodes[j].obj for j in diagram.obs},
-        {m: tilde_extend_mor(p, diagram.mors[m]) for m in diagram.mors},
-    )
-    post = Z.colimit(z_diagram)
-    apex = tilde_extend(p, pre.apex)
-    legs = {
-        j: tilde_extend_mor(
-            p, PresheafMorphism(diagram.obs[j], pre.apex, pre.legs[j].components)
         )
         for j in diagram.obs
     }

@@ -35,7 +35,6 @@ from .fincat import (
     HandleDiagram,
     HandleFunctor,
     LimitData,
-    Morphism,
     ValidationReport,
     make_category,
     terminal_category,
@@ -63,14 +62,8 @@ class Presheaf:
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _short: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    def at(self, x: str) -> tuple[str, ...]:
-        return self.values[x]
-
     def act(self, f: str, e: str) -> str:
         return self.actions[f][e]
-
-    def total_size(self) -> int:
-        return sum(len(v) for v in self.values.values())
 
 
 def make_presheaf(
@@ -145,9 +138,6 @@ class PresheafMorphism:
     # PresheafCategory.mor_key, computed on first use
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    def apply(self, x: str, e: str) -> str:
-        return self.components[x][e]
-
 
 def validate_presheaf_morphism(t: PresheafMorphism) -> ValidationReport:
     rep = ValidationReport(subject=f"presheaf morphism {t.name or '<unnamed>'}")
@@ -199,15 +189,6 @@ def is_presheaf_iso(t: PresheafMorphism) -> bool:
         if len(set(comp.values())) != len(comp) or len(comp) != len(t.cod.values[x]):
             return False
     return True
-
-
-def invert_presheaf_iso(t: PresheafMorphism) -> PresheafMorphism:
-    if not is_presheaf_iso(t):
-        raise StructureError("invert_presheaf_iso: morphism is not invertible")
-    return PresheafMorphism(
-        t.cod, t.dom,
-        {x: {v: k for k, v in t.components[x].items()} for x in t.dom.base.objects},
-    )
 
 
 def enumerate_presheaf_morphisms(
@@ -356,13 +337,6 @@ def yoneda_backward(C: FinCategory, X: str, F: Presheaf, elem: str) -> PresheafM
     hx = yoneda_embed(C, X)
     comps = {Y: {g: F.actions[g][elem] for g in hx.values[Y]} for Y in C.objects}
     return PresheafMorphism(hx, F, comps, f"<{elem}@{X}>")
-
-
-def representing_object(F: Presheaf) -> Optional[str]:
-    for X in sorted(F.base.objects):
-        if find_presheaf_iso(yoneda_embed(F.base, X), F) is not None:
-            return X
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The one backtracking search behind every enumeration in the package.
 
-Hom sets, natural transformations, cones, pointwise limits, the presheaf
-census, matching families and compatible families are all assignments of
-values to a fixed sequence of variables under binary constraints.  Each
+Presheaf hom sets, cones, pointwise limits, the presheaf census,
+matching families and compatible families are all assignments of values
+to a fixed sequence of variables under binary constraints.  Each
 caller states its variables, their domains, and which constraints become
 decidable at which variable; ``backtrack`` does the search.
 

@@ -60,8 +60,6 @@ from .presheaf import (
     PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
-    is_presheaf_iso,
-    short_key,
     yoneda_embed,
     yoneda_on_mor,
 )
@@ -156,9 +154,6 @@ class Site:
 
     def covering(self, X: str) -> tuple[Sieve, ...]:
         return self.topology[X]
-
-    def is_covering(self, S: Sieve) -> bool:
-        return S in self.topology[S.target]
 
 
 def generate_topology(
@@ -691,11 +686,6 @@ def epsilon(site: Site, X: str) -> Presheaf:
     return _epsilon_functor(site).on_object(X).sheaf
 
 
-def epsilon_result(site: Site, X: str) -> SheafificationResult:
-    """Sheafified representable together with its unit and stages."""
-    return _epsilon_functor(site).on_object(X)
-
-
 def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
     return _epsilon_functor(site).on_morphism(f)
 
@@ -704,18 +694,6 @@ def _epsilon_functor(site: Site) -> EpsilonFunctor:
     if "epsilon" not in site._cache:
         site._cache["epsilon"] = EpsilonFunctor(site)
     return site._cache["epsilon"]
-
-
-def epsilon_handle_functor(site: Site, cod: "SheafCategory") -> HandleFunctor:
-    """Epsilon packaged as a handle-valued functor for functor-level checks."""
-    C = site.base
-    return HandleFunctor(
-        "epsilon",
-        C,
-        cod,
-        {X: epsilon(site, X) for X in C.objects},
-        {m: epsilon_on_mor(site, m) for m in C.non_identities()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -993,13 +971,16 @@ def is_subcanonical(site: Site) -> SubcanonicalReport:
 # the sheaf category handle
 
 
-class SheafCategory(ComputationalCategory):
-    """Sheaves on a site, enumerated by filtering bounded presheaves.
+class SheafCategory(PresheafCategory):
+    """Sheaves on a site: the full subcategory of bounded presheaves that
+    pass the sheaf check.
 
-    Limits are computed pointwise (a limit of sheaves is a sheaf); colimits
-    are presheaf colimits followed by sheafification, with the mediating
-    morphism factored through the unit.  Probes are the sheafified
-    representables, a separating family by the unit's universal property.
+    Homs, identities, composition, keys and isomorphisms are those of
+    presheaves.  Limits are computed pointwise (a limit of sheaves is a
+    sheaf); colimits are presheaf colimits followed by sheafification, with
+    the mediating morphism factored through the unit.  Probes are the
+    sheafified representables, a separating family by the unit's universal
+    property.
     """
 
     def __init__(
@@ -1011,58 +992,34 @@ class SheafCategory(ComputationalCategory):
         hom_budget: int = 2_000_000,
         name: str = "",
     ) -> None:
-        self.site = site
-        self.inner = PresheafCategory(
-            site.base, bound, max_objects=max_objects, hom_budget=hom_budget
+        super().__init__(
+            site.base, bound, max_objects=max_objects, hom_budget=hom_budget,
+            name=name or f"Sh({site.name})<={bound}",
         )
-        self.bound = bound
-        self.name = name or f"Sh({site.name})<={bound}"
-        self._objects: Optional[list[Presheaf]] = None
+        self.site = site
+        # apart from the presheaf census, which PresheafCategory caches
+        self._sheaves: Optional[list[Presheaf]] = None
 
     def objects(self) -> list[Presheaf]:
-        if self._objects is None:
-            self._objects = [
-                P for P in self.inner.objects() if is_sheaf(P, self.site).ok
+        if self._sheaves is None:
+            self._sheaves = [
+                P for P in super().objects() if is_sheaf(P, self.site).ok
             ]
-        return self._objects
+        return self._sheaves
 
     def probe_objects(self) -> list[Presheaf]:
         eps = _epsilon_functor(self.site)
         return [eps.on_object(X).sheaf for X in sorted(self.site.base.objects)]
 
-    def hom(self, a: Presheaf, b: Presheaf) -> list[PresheafMorphism]:
-        return self.inner.hom(a, b)
-
-    def identity(self, a: Presheaf) -> PresheafMorphism:
-        return self.inner.identity(a)
-
-    def compose(self, g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
-        return compose_presheaf_morphisms(g, f)
-
-    def source(self, m: PresheafMorphism) -> Presheaf:
-        return m.dom
-
-    def target(self, m: PresheafMorphism) -> Presheaf:
-        return m.cod
-
-    def obj_key(self, a: Presheaf) -> str:
-        return short_key(a)
-
-    def mor_key(self, m: PresheafMorphism) -> str:
-        return self.inner.mor_key(m)
-
-    def equal_mor(self, f: PresheafMorphism, g: PresheafMorphism) -> bool:
-        return f.components == g.components
-
     def limit(self, diagram: HandleDiagram) -> LimitData:
-        data = self.inner.limit(diagram)
+        data = super().limit(diagram)
         rep = is_sheaf(data.apex, self.site)
         if not rep.ok:
             raise ConsistencyError("limit of sheaves failed the sheaf check")
         return data
 
     def colimit(self, diagram: HandleDiagram) -> ColimitData:
-        pre = self.inner.colimit(diagram)
+        pre = super().colimit(diagram)
         res = sheafify(pre.apex, self.site)
         legs = {
             j: compose_presheaf_morphisms(res.unit, leg) for j, leg in pre.legs.items()
@@ -1073,12 +1030,6 @@ class SheafCategory(ComputationalCategory):
             return factor_through_unit(self.site, res, apex2, t)
 
         return ColimitData(res.sheaf, legs, factor)
-
-    def is_iso(self, m: PresheafMorphism) -> bool:
-        return is_presheaf_iso(m)
-
-    def find_iso(self, a: Presheaf, b: Presheaf) -> Optional[PresheafMorphism]:
-        return self.inner.find_iso(a, b)
 
 
 def sheaf_category(site: Site, bound: int = 2, **kw) -> SheafCategory:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ConsistencyError, ConstructionRefused, ResourceBudgetError, StructureError
@@ -320,7 +320,7 @@ def random_presheaf(
 
 
 def random_fs_diagram(
-    J: FinCategory, handle, rng: random.Random, bound: int = 2, name: str = ""
+    J: FinCategory, rng: random.Random, bound: int = 2, name: str = ""
 ) -> HandleDiagram:
     """A seeded diagram of finite sets over the index J."""
     G = random_presheaf(opposite(J), rng, bound, name=f"{name}_tab")
@@ -333,7 +333,7 @@ def random_fs_diagram(
 
 
 def _random_fs_functor(C: FinCategory, handle, rng: random.Random, bound: int, name: str):
-    d = random_fs_diagram(C, handle, rng, bound, name)
+    d = random_fs_diagram(C, rng, bound, name)
     return HandleFunctor(name, C, handle, dict(d.obs), dict(d.mors))
 
 
@@ -1182,8 +1182,8 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
     rng = random.Random(f"{corpus.seed}:VII:commute")
     rec.note(f"{budget.commute_samples} seeded directed diagrams over chain3")
     for i in range(budget.commute_samples):
-        D1 = random_fs_diagram(J, FSH, rng, bound=2, name=f"D{i}a")
-        D2 = random_fs_diagram(J, FSH, rng, bound=2, name=f"D{i}b")
+        D1 = random_fs_diagram(J, rng, bound=2, name=f"D{i}a")
+        D2 = random_fs_diagram(J, rng, bound=2, name=f"D{i}b")
         cmp_map = _product_colimit_comparison(FSH, D1, D2)
         rec.check(
             FSH.is_iso(cmp_map),

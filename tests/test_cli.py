@@ -254,6 +254,20 @@ def test_flat_reads_the_point_name_from_the_handle(tmp_path, capsys):
     assert results[0]["element_category_cofiltered"]["flat"] is False
 
 
+def test_flat_on_a_sheaf_handle_skips_the_finite_set_route(tmp_path, capsys):
+    # sheaves on a one-object site live over one object but are not
+    # handled as finite sets; only the exactness probe runs
+    ws = tmp_path / "sheaf_point.ws"
+    sheaves = "site triv on pt\n  covers\n\nhandle fin = sheaves on triv"
+    ws.write_text(POINT_NAMED.format(point="o").replace("handle fin = presheaves on pt", sheaves))
+    code = main(["flat", "--input", str(ws), "doubled", "--report", "json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 1
+    assert result["element_category_cofiltered"] is None
+    assert result["note"] == "element-category route needs finite-set values"
+    assert result["exactness_probe"]["verdict"] == "counterexample"
+
+
 def test_continuous_flags_constant_point_at_the_empty_cover(demo_ws, capsys):
     code, payload = run_json(
         ["continuous", "--input", demo_ws, "constpt", "disc"], capsys

@@ -18,13 +18,13 @@ from toposkit.fincat import (
     HandleDiagram,
     HandleFunctor,
     discrete_category,
-    is_handle_fully_faithful,
     parallel_pair_category,
     poset_category,
     terminal_category,
 )
 from toposkit.presheaf import (
     Presheaf,
+    PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
     constant_presheaf,
@@ -47,9 +47,7 @@ from toposkit.site import (
     canonical_pretopology,
     enumerate_sieves,
     epsilon,
-    epsilon_handle_functor,
     epsilon_on_mor,
-    epsilon_result,
     factor_through_unit,
     generate_topology,
     is_continuous,
@@ -71,6 +69,7 @@ from toposkit.site import (
     sieve_generated,
     validate_site,
 )
+from toposkit.verify import fixture_categories, fixture_sites
 
 from conftest import chain, diamond
 
@@ -586,7 +585,7 @@ def test_epsilon_is_a_sheaf_isomorphic_to_the_representable():
             e = epsilon(site, X)
             assert is_sheaf(e, site).ok
             assert find_presheaf_iso(e, yoneda_embed(site.base, X)) is not None
-            assert is_presheaf_iso(epsilon_result(site, X).unit)
+            assert is_presheaf_iso(sheafify(yoneda_embed(site.base, X), site).unit)
 
 
 def test_epsilon_is_the_yoneda_embedding_over_trivial_topology():
@@ -604,11 +603,6 @@ def test_epsilon_respects_composition_and_identities():
     assert lhs.components == rhs.components
     e_id = epsilon_on_mor(DISC, "id_top")
     assert e_id.components == presheaf_identity(epsilon(DISC, "top")).components
-
-
-def test_epsilon_fully_faithful_on_subcanonical_site():
-    Sh = sheaf_category(DISC, 2)
-    assert is_handle_fully_faithful(epsilon_handle_functor(DISC, Sh)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +720,15 @@ def test_canonical_pretopology_is_subcanonical(make):
 
 
 def test_epsilon_is_continuous():
-    Sh = sheaf_category(DISC, 2)
-    rep = is_continuous(epsilon_handle_functor(DISC, Sh), DISC)
+    C = DISC.base
+    eps = HandleFunctor(
+        "epsilon",
+        C,
+        sheaf_category(DISC, 2),
+        {X: epsilon(DISC, X) for X in C.objects},
+        {m: epsilon_on_mor(DISC, m) for m in C.non_identities()},
+    )
+    rep = is_continuous(eps, DISC)
     assert rep.ok and rep.covers_checked == 2
 
 
@@ -784,12 +785,20 @@ def test_empty_cover_of_a_populated_object_is_not_subcanonical():
 
 
 def test_trivial_site_handle_matches_presheaf_handle():
-    from toposkit.presheaf import PresheafCategory
-
     site = trivial_site(diamond())
     Sh = sheaf_category(site, 1)
     Psh = PresheafCategory(site.base, 1)
     assert [F.values for F in Sh.objects()] == [F.values for F in Psh.objects()]
+
+
+def test_sheaf_handle_is_the_full_subcategory_of_sheaves():
+    site = fixture_sites(fixture_categories())["two_point_discrete"]
+    Sh = sheaf_category(site, 2)
+    census = PresheafCategory(site.base, 2).objects()
+    assert Sh.objects() == [P for P in census if is_sheaf(P, site).ok]
+    # the sheaves are cached apart from the presheaf census
+    assert PresheafCategory.objects(Sh) == census
+    assert Sh.name == "Sh(two_point_discrete)<=2"
 
 
 def test_sheaf_count_matches_pair_model_bound_two():

@@ -112,7 +112,7 @@ def test_random_fs_diagram_endpoints():
     cats = fixture_categories()
     J = cats["chain3"]
     Z = CORPUS.handles["finset"]
-    d = random_fs_diagram(J, Z, random.Random("d:0"), bound=2, name="D")
+    d = random_fs_diagram(J, random.Random("d:0"), bound=2, name="D")
     assert set(d.obs) == set(J.objects)
     for m, f in d.mors.items():
         assert Z.obj_key(Z.source(f)) == Z.obj_key(d.obs[J.src(m)])
