@@ -15,7 +15,9 @@ The second half of the module defines the computational-category handle
 interface: a uniform way to treat a finite category, a presheaf category,
 or a sheaf category as "a category whose objects and homs can be listed and
 whose (co)limits can be computed", which is what the extension and flatness
-machinery is written against.
+machinery is written against.  Only limits are searched for: a colimit in
+C is a limit in ``opposite(C)`` over the opposite index, which is how
+``FinCatHandle.colimit`` computes it.
 """
 
 from __future__ import annotations
@@ -400,18 +402,12 @@ def validate_functor(F: FinFunctor) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# cones and universal cone search
+# cones and universal cone search; a cocone is a cone in the opposite
+# category, so there is no separate cocone search
 
 
 @dataclass(frozen=True)
 class Cone:
-    diagram: FinFunctor
-    apex: str
-    legs: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class Cocone:
     diagram: FinFunctor
     apex: str
     legs: Mapping[str, str]
@@ -472,21 +468,6 @@ def universal_cone_search(D: FinFunctor) -> Optional[Cone]:
     return None
 
 
-def _dual_diagram(D: FinFunctor) -> FinFunctor:
-    return FinFunctor(
-        D.name + "^op", opposite(D.dom), opposite(D.cod),
-        dict(D.obj_map), dict(D.mor_map),
-    )
-
-
-def universal_cocone_search(D: FinFunctor) -> Optional[Cocone]:
-    """Colimit cocone of D, by running the limit search in the dual."""
-    cone = universal_cone_search(_dual_diagram(D))
-    if cone is None:
-        return None
-    return Cocone(D, cone.apex, dict(cone.legs))
-
-
 def is_cofiltered(C: FinCategory) -> ValidationReport:
     """Nonempty, every object pair admits a span into it, and every
     parallel pair admits an incoming equalizing arrow."""
@@ -536,13 +517,9 @@ class HandleDiagram:
 
 @dataclass
 class LimitData:
-    apex: Obj
-    legs: dict[str, Mor]
-    factor: Callable[[Obj, Mapping[str, Mor]], Mor]
+    """A universal cone or cocone: apex, legs, and the mediating morphism
+    for any other (co)cone given by its apex and legs."""
 
-
-@dataclass
-class ColimitData:
     apex: Obj
     legs: dict[str, Mor]
     factor: Callable[[Obj, Mapping[str, Mor]], Mor]
@@ -587,7 +564,7 @@ class ComputationalCategory(ABC):
     def limit(self, diagram: HandleDiagram) -> LimitData: ...
 
     @abstractmethod
-    def colimit(self, diagram: HandleDiagram) -> ColimitData: ...
+    def colimit(self, diagram: HandleDiagram) -> LimitData: ...
 
     def probe_objects(self) -> list[Obj]:
         return self.objects()
@@ -678,25 +655,10 @@ class FinCatHandle(ComputationalCategory):
 
         return LimitData(cone.apex, legs, factor)
 
-    def colimit(self, diagram: HandleDiagram) -> ColimitData:
-        cocone = universal_cocone_search(self._diagram_functor(diagram))
-        if cocone is None:
-            raise FactorizationError(f"{self.name}: diagram has no colimit")
-        legs = dict(cocone.legs)
-
-        def factor(apex2: str, legs2: Mapping[str, str]) -> str:
-            hits = [
-                f
-                for f in self.C.hom(cocone.apex, apex2)
-                if all(self.C.compose(f, legs[j]) == legs2[j] for j in legs)
-            ]
-            if len(hits) != 1:
-                raise FactorizationError(
-                    f"{self.name}: expected one mediating morphism, found {len(hits)}"
-                )
-            return hits[0]
-
-        return ColimitData(cocone.apex, legs, factor)
+    def colimit(self, diagram: HandleDiagram) -> LimitData:
+        """The limit of the same diagram over the opposite index in C^op."""
+        dual = HandleDiagram(opposite(diagram.index), diagram.obs, diagram.mors)
+        return FinCatHandle(opposite(self.C)).limit(dual)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A functor p from a finite category into a cocomplete handle Z extends to
 presheaves: the value on H is the colimit of p over the category of
 elements of H, and the value on a presheaf morphism is the mediating map
-between the two colimits.  ``ExtensionFunctor`` memoizes both directions
-per canonical presheaf key.
+between the two colimits.  ``tilde_extend`` and ``tilde_extend_mor`` memoize
+their values on p, per canonical presheaf key and per morphism table.
 
 The extension restricted along the representables is naturally isomorphic
 to p itself; the isomorphism components are the colimit legs at the
@@ -16,7 +16,9 @@ kept on p.  The adjunction bijection is executable both ways.  Flatness
 is decided two ways: for set-valued functors by cofilteredness of the
 category of elements, and in general by building finite-limit comparison
 maps up to an explicit budget, where only a counterexample is a
-definitive verdict.
+definitive verdict.  The elements of a set-valued functor are read as the
+opposite of the category of elements of its transpose, a presheaf on the
+opposite base.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from .errors import (
     StructureError,
 )
 from .fincat import (
-    ColimitData,
     FinCategory,
     HandleDiagram,
     HandleFunctor,
+    LimitData,
     ValidationReport,
     discrete_category,
     is_cofiltered,
-    make_category,
+    opposite,
     parallel_pair_category,
 )
 from .presheaf import (
@@ -62,6 +64,9 @@ from .site import Site, is_continuous, is_sheaf
 Obj = Any
 Mor = Any
 
+# value-set size of the presheaves enumerated into the exactness probe pool
+FLAT_VALUE_BOUND = 2
+
 
 # ---------------------------------------------------------------------------
 # the extension functor
@@ -73,76 +78,49 @@ class ExtensionValue:
 
     presheaf: Presheaf
     elements: ElementsCategory
-    colimit: ColimitData
+    colimit: LimitData
 
     @property
     def obj(self) -> Obj:
         return self.colimit.apex
 
 
-class ExtensionFunctor:
-    """The cocontinuous extension of p along representables, memoized.
+def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
+    """The extension value on one presheaf, cocone included.
 
     The domain of presheaves is unbounded, so values are computed per
-    input; the contract is the universal property of each colimit.
+    input and kept on p, keyed by canonical presheaf key; the contract is
+    the universal property of each colimit.
     """
-
-    def __init__(self, p: HandleFunctor) -> None:
-        self.p = p
-        self._values: dict[str, ExtensionValue] = {}
-        self._mors: dict[tuple[str, str, str], Mor] = {}
-
-    def on_presheaf(self, H: Presheaf) -> ExtensionValue:
-        key = presheaf_key(H)
-        if key not in self._values:
-            if H.base != self.p.dom:
-                raise StructureError("extension applied to a presheaf on the wrong base")
-            els = category_of_elements(H)
-            proj = els.projection
-            diagram = HandleDiagram(
-                els.gamma,
-                {n: self.p.obj_map[proj.obj_map[n]] for n in els.gamma.objects},
-                {
-                    a: self.p.on_mor(proj.mor_map[a])
-                    for a in els.gamma.non_identities()
-                },
-            )
-            self._values[key] = ExtensionValue(H, els, self.p.cod.colimit(diagram))
-        return self._values[key]
-
-    def leg(self, value: ExtensionValue, elem: str, X: str) -> Mor:
-        return value.colimit.legs[element_node(elem, X)]
-
-    def on_morphism(self, t: PresheafMorphism) -> Mor:
-        vf = self.on_presheaf(t.dom)
-        vg = self.on_presheaf(t.cod)
-        key = (
-            presheaf_key(t.dom),
-            presheaf_key(t.cod),
-            table_key(t.components),
+    memo = p._memo.setdefault("extension", {})
+    key = presheaf_key(H)
+    if key not in memo:
+        if H.base != p.dom:
+            raise StructureError("extension applied to a presheaf on the wrong base")
+        els = category_of_elements(H)
+        proj = els.projection
+        diagram = HandleDiagram(
+            els.gamma,
+            {n: p.obj_map[proj.obj_map[n]] for n in els.gamma.objects},
+            {a: p.on_mor(proj.mor_map[a]) for a in els.gamma.non_identities()},
         )
-        if key not in self._mors:
-            legs = {
-                n: self.leg(vg, t.components[X][e], X)
-                for n, (e, X) in vf.elements.obj_elem.items()
-            }
-            self._mors[key] = vf.colimit.factor(vg.obj, legs)
-        return self._mors[key]
-
-
-def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
-    """The extension value on one presheaf, cocone included."""
-    return _extension(p).on_presheaf(H)
+        memo[key] = ExtensionValue(H, els, p.cod.colimit(diagram))
+    return memo[key]
 
 
 def tilde_extend_mor(p: HandleFunctor, t: PresheafMorphism) -> Mor:
-    return _extension(p).on_morphism(t)
-
-
-def _extension(p: HandleFunctor) -> ExtensionFunctor:
-    if "extension" not in p._memo:
-        p._memo["extension"] = ExtensionFunctor(p)
-    return p._memo["extension"]
+    """The mediating map between the extension colimits of t's ends, kept
+    on p per (domain key, codomain key, component table)."""
+    memo = p._memo.setdefault("extension_mor", {})
+    key = (presheaf_key(t.dom), presheaf_key(t.cod), table_key(t.components))
+    if key not in memo:
+        vf, vg = tilde_extend(p, t.dom), tilde_extend(p, t.cod)
+        legs = {
+            n: vg.colimit.legs[element_node(t.components[X][e], X)]
+            for n, (e, X) in vf.elements.obj_elem.items()
+        }
+        memo[key] = vf.colimit.factor(vg.obj, legs)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +152,9 @@ def eta_iso(p: HandleFunctor) -> EtaResult:
     for X in C.objects:
         if not Z.is_iso(comps[X]):
             rep.add("iso", (X,), f"component at {X} is not an isomorphism")
-    ext = _extension(p)
     for m in C.non_identities():
         X, Y = C.src(m), C.tgt(m)
-        lhs = Z.compose(ext.on_morphism(yoneda_on_mor(C, m)), comps[X])
+        lhs = Z.compose(tilde_extend_mor(p, yoneda_on_mor(C, m)), comps[X])
         rhs = Z.compose(comps[Y], p.on_mor(m))
         if not Z.equal_mor(lhs, rhs):
             rep.add("naturality", (m,), f"square at {m} does not commute")
@@ -311,7 +288,7 @@ def extension_terminal_comparison(p: HandleFunctor) -> Mor:
 def extension_limit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
     """The canonical map extension(lim D) -> lim(extension of D)."""
     Z = p.cod
-    pre = presheaf_limit(diagram)
+    pre = presheaf_limit(diagram, p.dom)
     nodes = {j: tilde_extend(p, P) for j, P in diagram.obs.items()}
     z_diagram = HandleDiagram(
         diagram.index,
@@ -344,33 +321,21 @@ class FlatSetReport:
 
 def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tuple[str, str]]]:
     """Elements of a set-valued functor: pairs (x, X), x in p(X); an arrow
-    (x, X) -> (y, Y) is f: X -> Y with p(f)(x) = y, named f|x."""
+    (x, X) -> (y, Y) is f: X -> Y with p(f)(x) = y, named f|x.
+
+    p is a presheaf on the opposite base, and reversing the arrows of that
+    presheaf's category of elements gives exactly these pairs and arrows.
+    """
     C = p.dom
-    fs_values = {X: _finset_elements(p.obj_map[X]) for X in C.objects}
-    nodes: dict[str, tuple[str, str]] = {}
-    for X in C.objects:
-        for x in fs_values[X]:
-            nodes[element_node(x, X)] = (x, X)
-    arrows: list[tuple[str, str, str]] = []
-    for m in C.non_identities():
-        X, Y = C.src(m), C.tgt(m)
-        act_m = _finset_map(p.on_mor(m))
-        for x in fs_values[X]:
-            arrows.append((f"{m}|{x}", element_node(x, X), element_node(act_m[x], Y)))
-    compose: dict[tuple[str, str], str] = {}
-    for g in C.non_identities():
-        for f in C.non_identities():
-            if C.src(g) != C.tgt(f):
-                continue
-            gf = C.compose(g, f)
-            act_f = _finset_map(p.on_mor(f))
-            for x in fs_values[C.src(f)]:
-                name_g = f"{g}|{act_f[x]}"
-                name_f = f"{f}|{x}"
-                target = f"{gf}|{x}" if not C.is_identity(gf) else f"id_{element_node(x, C.src(f))}"
-                compose[(name_g, name_f)] = target
-    gamma = make_category(f"el({p.name})", sorted(nodes), arrows, compose)
-    return gamma, nodes
+    point = {X: _finset_point(p.obj_map[X]) for X in C.objects}
+    transpose = Presheaf(
+        opposite(C),
+        {X: p.obj_map[X].values[point[X]] for X in C.objects},
+        {m.name: p.on_mor(m.name).components[point[m.src]] for m in C.morphisms},
+        p.name,
+    )
+    els = category_of_elements(transpose)
+    return opposite(els.gamma), els.obj_elem
 
 
 def _finset_point(obj: Obj) -> str:
@@ -378,14 +343,6 @@ def _finset_point(obj: Obj) -> str:
     if not isinstance(obj, Presheaf) or len(obj.base.objects) != 1:
         raise StructureError("set-valued flatness needs finite-set objects")
     return obj.base.objects[0]
-
-
-def _finset_elements(obj: Obj) -> tuple[str, ...]:
-    return obj.values[_finset_point(obj)]
-
-
-def _finset_map(t: PresheafMorphism) -> Mapping[str, str]:
-    return t.components[_finset_point(t.dom)]
 
 
 def is_flat_setvalued(p: HandleFunctor) -> FlatSetReport:
@@ -414,7 +371,6 @@ class FlatVerdict:
 def is_flat_bounded(
     p: HandleFunctor,
     *,
-    value_bound: int = 2,
     max_products: int = 12,
     max_equalizers: int = 12,
     max_pool: int = 20,
@@ -444,7 +400,7 @@ def is_flat_bounded(
 
     pool: list[Presheaf] = [yoneda_embed(C, X) for X in sorted(C.objects)]
     try:
-        for F in enumerate_presheaves(C, value_bound, max_count=max_pool):
+        for F in enumerate_presheaves(C, FLAT_VALUE_BOUND, max_count=max_pool):
             pool.append(F)
             if len(pool) >= max_pool:
                 break

@@ -8,12 +8,12 @@ reversed order, F(g.f) = F(f) after F(g).  The module provides:
 * the representable embedding (one presheaf per object, one morphism per
   arrow) together with the two directions of the evaluation bijection
   between morphisms out of a representable and elements of the target;
-* the category of elements of a presheaf with its projection and the
-  canonical representable cocone over it;
+* the category of elements of a presheaf with its projection to the base;
 * pointwise limits and colimits with constructive mediating morphisms,
   quotients taken by union-find with smallest-member class labels;
-* the density check: the canonical map from the colimit of representables
-  over the category of elements back to the presheaf, verified invertible;
+* the density check: the representable diagram over the category of
+  elements, its canonical cocone back to the presheaf, and the map from
+  its colimit, verified invertible;
 * a bounded presheaf-category handle implementing the computational
   category interface, and finite sets as the special case of presheaves
   on the one-object, one-morphism category.
@@ -28,12 +28,10 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import FactorizationError, ResourceBudgetError, StructureError
 from .fincat import (
-    ColimitData,
     ComputationalCategory,
     FinCategory,
     FinFunctor,
     HandleDiagram,
-    HandleFunctor,
     LimitData,
     ValidationReport,
     make_category,
@@ -349,23 +347,22 @@ class ElementsCategory:
 
     Objects are ``elem@obj`` pairs; an arrow from (x, X) to (y, Y) is a base
     arrow f: X -> Y whose action sends y back to x, named ``f|y``.
-    ``diamond`` sends each pair to the representable of its base object;
-    ``lam`` is the canonical cocone from those representables back to F.
+    ``projection`` sends each pair to its object and each arrow to its base
+    arrow; ``obj_elem`` decodes each node into its (element, object) pair.
+    The representable diagram and cocone over it are built where they are
+    read, in ``density_check``.
     """
 
-    presheaf: Presheaf
     gamma: FinCategory
     projection: FinFunctor
     obj_elem: Mapping[str, tuple[str, str]]
-    diamond: HandleFunctor
-    lam: Mapping[str, PresheafMorphism]
 
 
 def element_node(elem: str, obj: str) -> str:
     return f"{elem}@{obj}"
 
 
-def category_of_elements(F: Presheaf, handle: Optional["PresheafCategory"] = None) -> ElementsCategory:
+def category_of_elements(F: Presheaf) -> ElementsCategory:
     C = F.base
     nodes: list[str] = []
     obj_elem: dict[str, tuple[str, str]] = {}
@@ -400,22 +397,7 @@ def category_of_elements(F: Presheaf, handle: Optional["PresheafCategory"] = Non
     for name, (f, _) in arrow_data.items():
         proj_mor[name] = f
     projection = FinFunctor(f"proj({F.name or 'F'})", gamma, C, proj_obj, proj_mor)
-    if handle is None:
-        bound = max(
-            [len(v) for v in F.values.values()]
-            + [len(C.hom(a, b)) for a in C.objects for b in C.objects]
-            + [1]
-        )
-        handle = PresheafCategory(C, bound=bound)
-    diamond = HandleFunctor(
-        f"rep({F.name or 'F'})", gamma, handle,
-        {n: yoneda_embed(C, obj_elem[n][1]) for n in nodes},
-        {name: yoneda_on_mor(C, f) for name, (f, _) in arrow_data.items()},
-    )
-    lam = {
-        n: yoneda_backward(C, obj_elem[n][1], F, obj_elem[n][0]) for n in nodes
-    }
-    return ElementsCategory(F, gamma, projection, obj_elem, diamond, lam)
+    return ElementsCategory(gamma, projection, obj_elem)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +438,17 @@ class UnionFind:
 # pointwise limits and colimits
 
 
-def _diagram_presheaves(diagram: HandleDiagram) -> dict[str, Presheaf]:
-    return {j: diagram.obs[j] for j in diagram.index.objects}
-
-
-def presheaf_colimit(diagram: HandleDiagram) -> ColimitData:
-    """Pointwise colimit: disjoint union quotiented by the arrow actions.
+def presheaf_colimit(diagram: HandleDiagram, base: FinCategory) -> LimitData:
+    """Pointwise colimit of presheaves on base: disjoint union quotiented
+    by the arrow actions.
 
     Class labels are the smallest member strings ``j:e``; legs send each
     element to its class, and the mediating morphism out of the apex is
-    read off class representatives (checked for cocone consistency).
+    read off class representatives (checked for cocone consistency).  The
+    empty diagram gives the empty presheaf.
     """
     J = diagram.index
-    obs = _diagram_presheaves(diagram)
-    base = next(iter(obs.values())).base if obs else None
-    if base is None:
-        raise StructureError("presheaf_colimit: empty diagram needs an explicit base; use the handle")
+    obs = {j: diagram.obs[j] for j in J.objects}
     # union-find per base object
     class_of: dict[str, dict[tuple[str, str], str]] = {}
     members_of: dict[str, dict[str, list[tuple[str, str]]]] = {}
@@ -530,22 +507,21 @@ def presheaf_colimit(diagram: HandleDiagram) -> ColimitData:
             comps[A] = comp
         return PresheafMorphism(apex, apex2, comps)
 
-    return ColimitData(apex, legs, factor)
+    return LimitData(apex, legs, factor)
 
 
-def presheaf_limit(diagram: HandleDiagram) -> LimitData:
-    """Pointwise limit: compatible tuples, labeled by their coordinates.
+def presheaf_limit(diagram: HandleDiagram, base: FinCategory) -> LimitData:
+    """Pointwise limit of presheaves on base: compatible tuples, labeled by
+    their coordinates.
 
     At each base object the tuples are searched with one variable per
     index object in sorted order, each arrow of the index checked at the
     later of its ends, so they come in the order of filtering the product
-    of the value sets; the apex lists their labels sorted.
+    of the value sets; the apex lists their labels sorted.  The empty
+    diagram gives the one-point presheaf on the empty tuple ``()``.
     """
     J = diagram.index
-    obs = _diagram_presheaves(diagram)
-    base = next(iter(obs.values())).base if obs else None
-    if base is None:
-        raise StructureError("presheaf_limit: empty diagram needs an explicit base; use the handle")
+    obs = {j: diagram.obs[j] for j in J.objects}
     jobjs = sorted(obs)
     pos = {j: i for i, j in enumerate(jobjs)}
     tuples: dict[str, list[dict[str, str]]] = {}
@@ -621,24 +597,22 @@ class DensityReport:
 def density_check(F: Presheaf) -> DensityReport:
     """Rebuild F as the colimit of representables over its elements.
 
-    Computes the colimit of the representable-valued diagram on the
-    category of elements, factors the canonical cocone through it, and
-    checks the mediating morphism is an isomorphism.
+    Sends each element (e, X) to the representable of X and each arrow to
+    its base arrow under Yoneda, takes the colimit of that diagram, factors
+    the canonical cocone (the morphism out of h_X classified by e, at each
+    element) through it, and checks the mediating morphism is an
+    isomorphism.
     """
+    C = F.base
     els = category_of_elements(F)
+    proj = els.projection
     diagram = HandleDiagram(
         els.gamma,
-        dict(els.diamond.obj_map),
-        dict(els.diamond.mor_map),
+        {n: yoneda_embed(C, X) for n, (_, X) in els.obj_elem.items()},
+        {a: yoneda_on_mor(C, proj.mor_map[a]) for a in els.gamma.non_identities()},
     )
-    if not els.obj_elem:
-        # empty presheaf: colimit over the empty diagram is empty pointwise
-        empty = make_presheaf(F.base, {x: () for x in F.base.objects}, name="colim")
-        ok = all(len(F.values[x]) == 0 for x in F.base.objects)
-        comp = PresheafMorphism(empty, F, {x: {} for x in F.base.objects})
-        return DensityReport(ok, comp if ok else None, "empty elements category")
-    colim = presheaf_colimit(diagram)
-    comparison = colim.factor(F, els.lam)
+    cocone = {n: yoneda_backward(C, X, F, e) for n, (e, X) in els.obj_elem.items()}
+    comparison = presheaf_colimit(diagram, C).factor(F, cocone)
     if not is_presheaf_iso(comparison):
         return DensityReport(False, comparison, "comparison is not invertible")
     rep = validate_presheaf_morphism(comparison)
@@ -783,25 +757,10 @@ class PresheafCategory(ComputationalCategory):
         return f.components == g.components
 
     def limit(self, diagram: HandleDiagram) -> LimitData:
-        if not diagram.index.objects:
-            apex = constant_presheaf(self.base, ["()"], name="1")
-            return LimitData(
-                apex, {}, lambda a2, l2: PresheafMorphism(
-                    a2, apex,
-                    {x: {e: "()" for e in a2.values[x]} for x in self.base.objects},
-                ),
-            )
-        return presheaf_limit(diagram)
+        return presheaf_limit(diagram, self.base)
 
-    def colimit(self, diagram: HandleDiagram) -> ColimitData:
-        if not diagram.index.objects:
-            apex = constant_presheaf(self.base, [], name="0")
-            return ColimitData(
-                apex, {}, lambda a2, l2: PresheafMorphism(
-                    apex, a2, {x: {} for x in self.base.objects},
-                ),
-            )
-        return presheaf_colimit(diagram)
+    def colimit(self, diagram: HandleDiagram) -> LimitData:
+        return presheaf_colimit(diagram, self.base)
 
     def is_iso(self, m: PresheafMorphism) -> bool:
         return is_presheaf_iso(m)

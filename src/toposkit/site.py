@@ -46,7 +46,6 @@ from .errors import (
     StructureError,
 )
 from .fincat import (
-    ColimitData,
     ComputationalCategory,
     FinCatHandle,
     FinCategory,
@@ -60,6 +59,7 @@ from .presheaf import (
     PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
+    presheaf_limit,
     yoneda_embed,
     yoneda_on_mor,
 )
@@ -649,51 +649,37 @@ def factor_through_unit(
 # sheafified representables
 
 
-class EpsilonFunctor:
-    """Object-by-object sheafification of the representables, with caching."""
-
-    def __init__(self, site: Site) -> None:
-        self.site = site
-        self._obj: dict[str, SheafificationResult] = {}
-        self._mor: dict[str, PresheafMorphism] = {}
-
-    def on_object(self, X: str) -> SheafificationResult:
-        if X not in self._obj:
-            res = sheafify(yoneda_embed(self.site.base, X), self.site)
-            sheaf = Presheaf(
-                res.sheaf.base, res.sheaf.values, res.sheaf.actions, f"e_{X}"
-            )
-            self._obj[X] = SheafificationResult(
-                sheaf,
-                PresheafMorphism(res.unit.dom, sheaf, res.unit.components, res.unit.name),
-                res.stage1,
-                res.stage2,
-            )
-        return self._obj[X]
-
-    def on_morphism(self, f: str) -> PresheafMorphism:
-        if f not in self._mor:
-            C = self.site.base
-            rf = self.on_object(C.src(f))
-            rg = self.on_object(C.tgt(f))
-            t = sheafify_morphism(self.site, rf, rg, yoneda_on_mor(C, f))
-            self._mor[f] = PresheafMorphism(rf.sheaf, rg.sheaf, t.components, f"e[{f}]")
-        return self._mor[f]
-
-
 def epsilon(site: Site, X: str) -> Presheaf:
-    """The sheafified representable of X."""
-    return _epsilon_functor(site).on_object(X).sheaf
+    """The sheafified representable of X, named ``e_X``.
+
+    Its sheafification result, unit included, is kept in the site's cache
+    for ``epsilon_on_mor``, so each lives as long as the site.
+    """
+    memo = site._cache.setdefault("epsilon", {})
+    if X not in memo:
+        res = sheafify(yoneda_embed(site.base, X), site)
+        sheaf = Presheaf(res.sheaf.base, res.sheaf.values, res.sheaf.actions, f"e_{X}")
+        memo[X] = SheafificationResult(
+            sheaf,
+            PresheafMorphism(res.unit.dom, sheaf, res.unit.components, res.unit.name),
+            res.stage1,
+            res.stage2,
+        )
+    return memo[X].sheaf
 
 
 def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
-    return _epsilon_functor(site).on_morphism(f)
-
-
-def _epsilon_functor(site: Site) -> EpsilonFunctor:
-    if "epsilon" not in site._cache:
-        site._cache["epsilon"] = EpsilonFunctor(site)
-    return site._cache["epsilon"]
+    """The sheafification of the representable morphism of f, named ``e[f]``."""
+    memo = site._cache.setdefault("epsilon_mor", {})
+    if f not in memo:
+        C = site.base
+        # epsilon caches the sheafification results whose units factor here
+        epsilon(site, C.src(f))
+        epsilon(site, C.tgt(f))
+        rf, rg = site._cache["epsilon"][C.src(f)], site._cache["epsilon"][C.tgt(f)]
+        t = sheafify_morphism(site, rf, rg, yoneda_on_mor(C, f))
+        memo[f] = PresheafMorphism(rf.sheaf, rg.sheaf, t.components, f"e[{f}]")
+    return memo[f]
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +994,7 @@ class SheafCategory(PresheafCategory):
         return self._sheaves
 
     def probe_objects(self) -> list[Presheaf]:
-        eps = _epsilon_functor(self.site)
-        return [eps.on_object(X).sheaf for X in sorted(self.site.base.objects)]
+        return [epsilon(self.site, X) for X in sorted(self.site.base.objects)]
 
     def limit(self, diagram: HandleDiagram) -> LimitData:
         data = super().limit(diagram)
@@ -1018,7 +1003,7 @@ class SheafCategory(PresheafCategory):
             raise ConsistencyError("limit of sheaves failed the sheaf check")
         return data
 
-    def colimit(self, diagram: HandleDiagram) -> ColimitData:
+    def colimit(self, diagram: HandleDiagram) -> LimitData:
         pre = super().colimit(diagram)
         res = sheafify(pre.apex, self.site)
         legs = {
@@ -1029,7 +1014,7 @@ class SheafCategory(PresheafCategory):
             t = pre.factor(apex2, legs2)
             return factor_through_unit(self.site, res, apex2, t)
 
-        return ColimitData(res.sheaf, legs, factor)
+        return LimitData(res.sheaf, legs, factor)
 
 
 def sheaf_category(site: Site, bound: int = 2, **kw) -> SheafCategory:
@@ -1037,15 +1022,13 @@ def sheaf_category(site: Site, bound: int = 2, **kw) -> SheafCategory:
 
 
 def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> PresheafMorphism:
-    """The mediating map a(lim D) -> lim a(D) for a nonempty presheaf diagram.
+    """The mediating map a(lim D) -> lim a(D) for a presheaf diagram.
 
     Sheafifying the limit cone gives a cone over the sheafified diagram;
     the map is its factoring through the pointwise limit of sheaves.
     Left exactness of sheafification says it is an isomorphism.
     """
-    from .presheaf import presheaf_limit
-
-    pre = presheaf_limit(diagram)
+    pre = presheaf_limit(diagram, site.base)
     node_res = {j: sheafify(P, site) for j, P in diagram.obs.items()}
     sheaf_diagram = HandleDiagram(
         diagram.index,
@@ -1060,7 +1043,7 @@ def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> Presh
             for m in diagram.mors
         },
     )
-    post = presheaf_limit(sheaf_diagram)
+    post = presheaf_limit(sheaf_diagram, site.base)
     apex_res = sheafify(pre.apex, site)
     legs = {
         j: compose_presheaf_morphisms(

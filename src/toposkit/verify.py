@@ -32,7 +32,6 @@ from .fincat import (
     HandleDiagram,
     HandleFunctor,
     discrete_category,
-    is_cofiltered,
     make_category,
     opposite,
     parallel_pair_category,
@@ -44,7 +43,6 @@ from .fincat import (
 from .kan import (
     adjunction_phi,
     build_ell,
-    covariant_elements,
     hp_on_mor,
     is_flat_bounded,
     is_flat_setvalued,
@@ -95,6 +93,10 @@ FINITELY_COMPLETE_BASES = ("arrow", "chain3", "chain4", "diamond", "one")
 
 _MAX_WITNESSES = 25
 _CENSUS_BOUND_CAP = 3
+# suite IV skips a pair (H, z) when maps extension(H) -> z could number more
+HOM_POOL_BOUND = 3000
+# suite IV skips a natural-map enumeration whose candidate product is larger
+NAT_POOL_BOUND = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +116,7 @@ class Budget:
     presheaf_samples: int = 4
     z_samples: int = 3
     hom_cap: int = 6
-    hom_pool_bound: int = 3000
-    nat_pool_bound: int = 1_000_000
     commute_samples: int = 5
-    flat_value_bound: int = 2
     flat_products: int = 12
     flat_equalizers: int = 12
     flat_pool: int = 20
@@ -841,7 +840,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             ext = tilde_extend(p, H).obj
             for z in zs:
                 hp = right_adjoint_hp(p, z)
-                if _nat_count_bound(ext, z) > budget.hom_pool_bound:
+                if _nat_count_bound(ext, z) > HOM_POOL_BOUND:
                     skipped += 1
                     continue
                 phi = adjunction_phi(p, H, z)
@@ -863,7 +862,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                             "detail": "backward(forward(w)) is not w",
                         },
                     )
-                nats = _nats_capped(H, hp, budget.nat_pool_bound)
+                nats = _nats_capped(H, hp, NAT_POOL_BOUND)
                 if nats is None:
                     skipped += 1
                     continue
@@ -881,14 +880,14 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         # naturality in the presheaf argument
         for H1 in Hs:
             for H2 in Hs:
-                maps = _nats_capped(H1, H2, budget.nat_pool_bound)
+                maps = _nats_capped(H1, H2, NAT_POOL_BOUND)
                 if maps is None:
                     skipped += 1
                     continue
                 for s in maps[:2]:
                     for z in zs[:1]:
                         ext2 = tilde_extend(p, H2).obj
-                        if _nat_count_bound(ext2, z) > budget.hom_pool_bound:
+                        if _nat_count_bound(ext2, z) > HOM_POOL_BOUND:
                             skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H1, z)
@@ -911,7 +910,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     post = hp_on_mor(p, w0)
                     for H in Hs[:2]:
                         ext = tilde_extend(p, H).obj
-                        if _nat_count_bound(ext, z2) > budget.hom_pool_bound:
+                        if _nat_count_bound(ext, z2) > HOM_POOL_BOUND:
                             skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H, z1)
@@ -948,7 +947,6 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
 
 def _flat_knobs(budget: Budget) -> dict:
     return {
-        "value_bound": budget.flat_value_bound,
         "max_products": budget.flat_products,
         "max_equalizers": budget.flat_equalizers,
         "max_pool": budget.flat_pool,
@@ -1148,8 +1146,7 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             continue
         p = fx.functor
         if fx.exact is True and fx.base in FINITELY_COMPLETE_BASES:
-            gamma, _ = covariant_elements(p)
-            cof = is_cofiltered(gamma)
+            cof = is_flat_setvalued(p).report
             rec.check(
                 cof.ok,
                 lambda: {

@@ -52,3 +52,21 @@ def test_every_public_name_is_reached():
     assert not missing, f"public names nothing reaches: {missing}"
     stale = sorted(set(KEEP) - set(unreached))
     assert not stale, f"KEEP entries that are reached again or no longer defined: {stale}"
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export; __future__ imports set
+    # compiler flags and bind no name the module reads
+    unused = []
+    for p in sorted(SRC.glob("[!_]*.py")):
+        tree = ast.parse(p.read_text())
+        used = _uses(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{p.name}:{node.lineno} {name}")
+    assert not unused, f"imports nothing in their module reads: {unused}"

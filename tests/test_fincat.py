@@ -3,7 +3,9 @@
 Oracle: every universal cone returned by the search is re-verified
 against the raw definition by an independent checker.  Cones over
 functors between the conftest categories are also checked in order
-against a product scan through the cone triangles.
+against a product scan through the cone triangles.  The handle's colimits,
+taken as limits in the opposite category, are checked against a cocone
+search on the dual functor with its own factoring.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from toposkit.fincat import (
     parallel_pair_category,
     poset_category,
     terminal_category,
-    universal_cocone_search,
     universal_cone_search,
     validate_category,
     validate_functor,
@@ -60,6 +61,37 @@ def oracle_is_limit(cone: Cone) -> bool:
         if len(hits) != 1:
             return False
     return True
+
+
+def oracle_colimit(D: FinFunctor):
+    """Colimit cocone of D as (apex, legs) or None, by the limit search on
+    the dual functor built by hand; the reference for the handle's colimit."""
+    dual = FinFunctor(
+        D.name + "^op", opposite(D.dom), opposite(D.cod),
+        dict(D.obj_map), dict(D.mor_map),
+    )
+    cone = universal_cone_search(dual)
+    if cone is None:
+        return None
+    return cone.apex, dict(cone.legs)
+
+
+def oracle_colimit_factor(C: FinCategory, apex: str, legs, apex2: str, legs2) -> str:
+    """The unique f: apex -> apex2 with f . legs[j] == legs2[j] for all j."""
+    hits = [
+        f
+        for f in C.hom(apex, apex2)
+        if all(C.compose(f, legs[j]) == legs2[j] for j in legs)
+    ]
+    if len(hits) != 1:
+        raise FactorizationError(f"expected one mediating morphism, found {len(hits)}")
+    return hits[0]
+
+
+def handle_diagram(D: FinFunctor) -> HandleDiagram:
+    return HandleDiagram(
+        D.dom, dict(D.obj_map), {m: D.mor_map[m] for m in D.dom.non_identities()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +203,7 @@ def test_opposite_swaps_limits_and_colimits():
         {"l": "a", "r": "b"}, {},
     )
     assert universal_cone_search(D).apex == "bot"
-    assert universal_cocone_search(D).apex == "top"
+    assert FinCatHandle(C).colimit(handle_diagram(D)).apex == "top"
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +275,33 @@ def test_cones_follow_the_product_order_of_the_triangles(data):
     assert [(cone.apex, cone.legs) for cone in enumerate_cones(D)] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_handle_colimit_matches_the_dual_cocone_search(data):
+    j = data.draw(st.integers(0, len(SHAPES) - 1))
+    c = data.draw(st.integers(0, len(TARGETS) - 1))
+    D = draw_functor(data, j, c)
+    C = D.cod
+    want = oracle_colimit(D)
+    h = FinCatHandle(C)
+    if want is None:
+        with pytest.raises(FactorizationError):
+            h.colimit(handle_diagram(D))
+        return
+    got = h.colimit(handle_diagram(D))
+    assert (got.apex, got.legs) == want
+    # every cocone over D is a cone over the dual functor
+    dual = FinFunctor("dual", opposite(D.dom), opposite(C), D.obj_map, D.mor_map)
+    for other in enumerate_cones(dual):
+        try:
+            expected = oracle_colimit_factor(C, *want, other.apex, other.legs)
+        except FactorizationError:
+            with pytest.raises(FactorizationError):
+                got.factor(other.apex, other.legs)
+        else:
+            assert got.factor(other.apex, other.legs) == expected
+
+
 def test_meet_is_product_in_poset(diamond_cat):
     D = FinFunctor(
         "ab", discrete_category("2", ["l", "r"]), diamond_cat,
@@ -286,7 +345,7 @@ def test_empty_diagram_limit_is_terminal_object(diamond_cat):
     D = FinFunctor("empty", make_category("0", ()), diamond_cat, {}, {})
     cone = universal_cone_search(D)
     assert cone.apex == "top"
-    co = universal_cocone_search(D)
+    co = FinCatHandle(diamond_cat).colimit(handle_diagram(D))
     assert co.apex == "bot"
 
 

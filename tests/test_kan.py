@@ -4,13 +4,18 @@ The oracle for extension values is a raw union-find over triples
 (object, element, point) built directly from the presheaf and functor
 tables, so colimit sizes are checked against code that shares nothing
 with the colimit machinery.  Hom counts in FinSet reduce to arithmetic.
+The elements of a set-valued functor, read off the category of elements
+of its transpose, are checked against a direct construction from the
+functor's tables.
 """
 
 import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import parallel_arrows, walking_idempotent, z2_group
 from toposkit.errors import (
     ConsistencyError,
     ConstructionRefused,
@@ -21,6 +26,9 @@ from toposkit.fincat import (
     HandleDiagram,
     HandleFunctor,
     discrete_category,
+    is_cofiltered,
+    make_category,
+    opposite,
     poset_category,
     terminal_category,
     validate_category,
@@ -538,6 +546,80 @@ def test_covariant_elements_is_a_category_with_named_nodes():
     assert set(nodes) == {"s0@u", "s1@u", "q@v"}
     assert nodes["s0@u"] == ("s0", "u")
     assert set(gamma.non_identities()) == {"u.v|s0", "u.v|s1"}
+
+
+def oracle_covariant_elements(p):
+    """Pairs (x, X) and arrows f|x: (x, X) -> (p(f)x, Y), composition
+    table included, built directly from p's finite-set tables."""
+    C = p.dom
+    fs_values = {X: finset_value(p.obj_map[X]) for X in C.objects}
+    nodes = {}
+    for X in C.objects:
+        for x in fs_values[X]:
+            nodes[f"{x}@{X}"] = (x, X)
+    arrows = []
+    for m in C.non_identities():
+        X, Y = C.src(m), C.tgt(m)
+        act_m = p.on_mor(m).components["*"]
+        for x in fs_values[X]:
+            arrows.append((f"{m}|{x}", f"{x}@{X}", f"{act_m[x]}@{Y}"))
+    compose = {}
+    for g in C.non_identities():
+        for f in C.non_identities():
+            if C.src(g) != C.tgt(f):
+                continue
+            gf = C.compose(g, f)
+            act_f = p.on_mor(f).components["*"]
+            for x in fs_values[C.src(f)]:
+                name_g = f"{g}|{act_f[x]}"
+                name_f = f"{f}|{x}"
+                target = f"{gf}|{x}" if not C.is_identity(gf) else f"id_{x}@{C.src(f)}"
+                compose[(name_g, name_f)] = target
+    gamma = make_category(f"el({p.name})", sorted(nodes), arrows, compose)
+    return gamma, nodes
+
+
+ELEMENT_BASES = (ONE, ARROW, DIAMOND, z2_group(), walking_idempotent(), parallel_arrows())
+SET_FUNCTORS: dict = {}
+
+
+def set_functors(k: int) -> list:
+    """Every functor ELEMENT_BASES[k] -> FinSet with sets of size <= 2; a
+    functor on C is a presheaf on the opposite of C."""
+    if k not in SET_FUNCTORS:
+        C = ELEMENT_BASES[k]
+        out = []
+        for i, P in enumerate(enumerate_presheaves(opposite(C), 2)):
+            obs = {X: finset_obj(P.values[X], name=f"{X}{i}") for X in C.objects}
+            mors = {
+                m: finset_map(obs[C.src(m)], obs[C.tgt(m)], P.actions[m])
+                for m in C.non_identities()
+            }
+            out.append(HandleFunctor(f"set{i}", C, FS, obs, mors))
+        SET_FUNCTORS[k] = out
+    return SET_FUNCTORS[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_covariant_elements_matches_the_direct_construction(data):
+    k = data.draw(st.integers(0, len(ELEMENT_BASES) - 1))
+    p = data.draw(st.sampled_from(set_functors(k)))
+    assert validate_handle_functor(p).ok
+    gamma, nodes = covariant_elements(p)
+    want, want_nodes = oracle_covariant_elements(p)
+    assert nodes == want_nodes
+    assert sorted(gamma.objects) == list(want.objects)
+    assert dict(gamma.identity) == dict(want.identity)
+    assert {m.name: (m.src, m.tgt) for m in gamma.morphisms} == {
+        m.name: (m.src, m.tgt) for m in want.morphisms
+    }
+    assert dict(gamma.composition) == dict(want.composition)
+    got_rep, want_rep = is_cofiltered(gamma), is_cofiltered(want)
+    assert [v.law for v in got_rep.violations] == [v.law for v in want_rep.violations]
+    assert sorted(v.witness for v in got_rep.violations) == sorted(
+        v.witness for v in want_rep.violations
+    )
 
 
 def test_setvalued_flatness_needs_finite_set_targets():

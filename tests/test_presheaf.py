@@ -346,9 +346,9 @@ def test_elements_cocone_legs_are_natural():
     C = diamond()
     F = yoneda_embed(C, "a")
     els = category_of_elements(F)
-    for n, leg in els.lam.items():
+    for n, (e, X) in els.obj_elem.items():
+        leg = yoneda_backward(C, X, F, e)
         assert validate_presheaf_morphism(leg).ok
-        e, X = els.obj_elem[n]
         assert leg.cod == F
         assert yoneda_forward(C, X, leg) == e
 
@@ -387,7 +387,7 @@ def test_coequalizer_of_finite_sets():
     u = finset_map(P, Q, {"p0": "q0", "p1": "q1"})
     v = finset_map(P, Q, {"p0": "q1", "p1": "q2"})
     J = parallel_pair_category()
-    data = presheaf_colimit(HandleDiagram(J, {"a": P, "b": Q}, {"u": u, "v": v}))
+    data = presheaf_colimit(HandleDiagram(J, {"a": P, "b": Q}, {"u": u, "v": v}), P.base)
     # q0 ~ q1 via p0 and q1 ~ q2 via p1, and the p's merge into the same
     # class, so one class remains; its label is the smallest member
     assert finset_value(data.apex) == ("a:p0",)
@@ -399,7 +399,7 @@ def test_coproduct_of_representables():
     C = diamond()
     J = discrete_category("2", ["l", "r"])
     h_a, h_b = yoneda_embed(C, "a"), yoneda_embed(C, "b")
-    data = presheaf_colimit(HandleDiagram(J, {"l": h_a, "r": h_b}, {}))
+    data = presheaf_colimit(HandleDiagram(J, {"l": h_a, "r": h_b}, {}), C)
     assert data.apex.values["bot"] == ("l:bot.a", "r:bot.b")
     assert data.apex.values["top"] == ()
     assert validate_presheaf(data.apex).ok
@@ -409,7 +409,7 @@ def test_colimit_factoring_recovers_cocone_and_rejects_noncocones():
     C = diamond()
     J = discrete_category("2", ["l", "r"])
     h_a, h_b = yoneda_embed(C, "a"), yoneda_embed(C, "b")
-    data = presheaf_colimit(HandleDiagram(J, {"l": h_a, "r": h_b}, {}))
+    data = presheaf_colimit(HandleDiagram(J, {"l": h_a, "r": h_b}, {}), C)
     T = constant_presheaf(C, ["t"])
     legs2 = {
         "l": enumerate_presheaf_morphisms(h_a, T)[0],
@@ -432,7 +432,8 @@ def test_colimit_factoring_recovers_cocone_and_rejects_noncocones():
                 "u": finset_map(P, P, {"x": "x", "y": "y"}),
                 "v": finset_map(P, P, {"x": "y", "y": "x"}),
             },
-        )
+        ),
+        P.base,
     )
     # x and y are merged; a leg separating them cannot factor
     T2 = finset_obj(["0", "1"])
@@ -448,12 +449,12 @@ def test_product_and_equalizer_of_finite_sets():
     A = finset_obj(["a0", "a1"])
     B = finset_obj(["b0", "b1", "b2"])
     J = discrete_category("2", ["l", "r"])
-    prod = presheaf_limit(HandleDiagram(J, {"l": A, "r": B}, {}))
+    prod = presheaf_limit(HandleDiagram(J, {"l": A, "r": B}, {}), A.base)
     assert len(finset_value(prod.apex)) == 6
     u = finset_map(A, B, {"a0": "b0", "a1": "b1"})
     v = finset_map(A, B, {"a0": "b0", "a1": "b2"})
     JP = parallel_pair_category()
-    eq = presheaf_limit(HandleDiagram(JP, {"a": A, "b": B}, {"u": u, "v": v}))
+    eq = presheaf_limit(HandleDiagram(JP, {"a": A, "b": B}, {"u": u, "v": v}), A.base)
     # only a0 agrees
     assert len(finset_value(eq.apex)) == 1
     assert eq.legs["a"].components["*"][finset_value(eq.apex)[0]] == "a0"
@@ -465,7 +466,7 @@ def test_limit_factoring_rejects_non_cones():
     u = finset_map(A, B, {"a0": "b0", "a1": "b0"})
     v = finset_map(A, B, {"a0": "b0", "a1": "b0"})
     JP = parallel_pair_category()
-    eq = presheaf_limit(HandleDiagram(JP, {"a": A, "b": B}, {"u": u, "v": v}))
+    eq = presheaf_limit(HandleDiagram(JP, {"a": A, "b": B}, {"u": u, "v": v}), A.base)
     T = finset_obj(["t"])
     # legs that do not commute with u: pick b-leg missing the u-image
     B2 = finset_obj(["b0", "b1"])
@@ -474,7 +475,8 @@ def test_limit_factoring_rejects_non_cones():
             JP, {"a": A, "b": B2},
             {"u": finset_map(A, B2, {"a0": "b0", "a1": "b0"}),
              "v": finset_map(A, B2, {"a0": "b0", "a1": "b1"})},
-        )
+        ),
+        A.base,
     )
     bad_legs = {"a": finset_map(T, A, {"t": "a1"}), "b": finset_map(T, B2, {"t": "b1"})}
     with pytest.raises(FactorizationError):
@@ -485,10 +487,30 @@ def test_presheaf_limit_matches_meet_of_representables(diamond_cat=None):
     C = diamond()
     J = discrete_category("2", ["l", "r"])
     prod = presheaf_limit(
-        HandleDiagram(J, {"l": yoneda_embed(C, "a"), "r": yoneda_embed(C, "b")}, {})
+        HandleDiagram(J, {"l": yoneda_embed(C, "a"), "r": yoneda_embed(C, "b")}, {}), C
     )
     iso = find_presheaf_iso(prod.apex, yoneda_embed(C, "bot"))
     assert iso is not None and is_presheaf_iso(iso)
+
+
+def test_empty_diagram_limit_and_colimit_need_only_the_base():
+    C = diamond()
+    empty = HandleDiagram(make_category("empty", ()), {}, {})
+    lim = presheaf_limit(empty, C)
+    assert lim.apex.values == {X: ("()",) for X in C.objects}
+    assert validate_presheaf(lim.apex).ok and lim.legs == {}
+    T = constant_presheaf(C, ["s", "t"])
+    med = lim.factor(T, {})
+    assert validate_presheaf_morphism(med).ok
+    assert med.components == {X: {"s": "()", "t": "()"} for X in C.objects}
+    assert [t.components for t in enumerate_presheaf_morphisms(T, lim.apex)] == [med.components]
+    colim = presheaf_colimit(empty, C)
+    assert colim.apex.values == {X: () for X in C.objects}
+    assert validate_presheaf(colim.apex).ok and colim.legs == {}
+    out = colim.factor(T, {})
+    assert validate_presheaf_morphism(out).ok
+    assert out.components == {X: {} for X in C.objects}
+    assert [t.components for t in enumerate_presheaf_morphisms(colim.apex, T)] == [out.components]
 
 
 # ---------------------------------------------------------------------------
