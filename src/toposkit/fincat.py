@@ -569,6 +569,10 @@ class ComputationalCategory(ABC):
     def probe_objects(self) -> list[Obj]:
         return self.objects()
 
+    def hom_prefix(self, a: Obj, b: Obj, n: int) -> list[Mor]:
+        """The first n maps of ``hom(a, b)``, in the same order."""
+        return self.hom(a, b)[:n]
+
     def equal_mor(self, f: Mor, g: Mor) -> bool:
         return f == g
 

@@ -44,7 +44,6 @@ from .fincat import (
     parallel_pair_category,
 )
 from .presheaf import (
-    ElementsCategory,
     Presheaf,
     PresheafCategory,
     PresheafMorphism,
@@ -74,10 +73,15 @@ FLAT_VALUE_BOUND = 2
 
 @dataclass
 class ExtensionValue:
-    """One evaluated extension: the element category and the colimit."""
+    """One evaluated extension, as much of it as its readers use.
 
-    presheaf: Presheaf
-    elements: ElementsCategory
+    ``obj_elem`` decodes each colimit leg's node into its (element,
+    object) pair, and ``colimit`` holds the apex, the legs and the
+    factoring.  The element category and the input presheaf are not kept:
+    nothing reads them once the colimit is built.
+    """
+
+    obj_elem: Mapping[str, tuple[str, str]]
     colimit: LimitData
 
     @property
@@ -90,7 +94,9 @@ def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
 
     The domain of presheaves is unbounded, so values are computed per
     input and kept on p, keyed by canonical presheaf key; the contract is
-    the universal property of each colimit.
+    the universal property of each colimit.  The category of elements is
+    built to index the colimit's diagram and dropped afterwards, so the
+    memo holds neither it nor H.
     """
     memo = p._memo.setdefault("extension", {})
     key = presheaf_key(H)
@@ -104,7 +110,7 @@ def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
             {n: p.obj_map[proj.obj_map[n]] for n in els.gamma.objects},
             {a: p.on_mor(proj.mor_map[a]) for a in els.gamma.non_identities()},
         )
-        memo[key] = ExtensionValue(H, els, p.cod.colimit(diagram))
+        memo[key] = ExtensionValue(els.obj_elem, p.cod.colimit(diagram))
     return memo[key]
 
 
@@ -117,7 +123,7 @@ def tilde_extend_mor(p: HandleFunctor, t: PresheafMorphism) -> Mor:
         vf, vg = tilde_extend(p, t.dom), tilde_extend(p, t.cod)
         legs = {
             n: vg.colimit.legs[element_node(t.components[X][e], X)]
-            for n, (e, X) in vf.elements.obj_elem.items()
+            for n, (e, X) in vf.obj_elem.items()
         }
         memo[key] = vf.colimit.factor(vg.obj, legs)
     return memo[key]
@@ -264,7 +270,7 @@ def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
     def backward(t: PresheafMorphism) -> Mor:
         legs = {
             n: hp.decode[X][t.components[X][e]]
-            for n, (e, X) in value.elements.obj_elem.items()
+            for n, (e, X) in value.obj_elem.items()
         }
         return value.colimit.factor(z, legs)
 

@@ -190,7 +190,7 @@ def is_presheaf_iso(t: PresheafMorphism) -> bool:
 
 
 def enumerate_presheaf_morphisms(
-    F: Presheaf, G: Presheaf, *, budget: Optional[int] = None
+    F: Presheaf, G: Presheaf, *, budget: Optional[int] = None, limit: Optional[int] = None
 ) -> tuple[PresheafMorphism, ...]:
     """All natural families F -> G, in lexicographic order.
 
@@ -198,7 +198,9 @@ def enumerate_presheaf_morphisms(
     product over each object of itertools.product(G(X), repeat=|F(X)|).
     The worst-case candidate count is the product over objects of
     |G(X)| ** |F(X)|; if a budget is given and the product exceeds it the
-    search refuses up front rather than truncating.
+    search refuses up front rather than truncating.  With a limit the
+    search stops after that many families, so the result is the first
+    ``limit`` of the full tuple.
     """
     if F.base != G.base:
         raise StructureError("enumerate_presheaf_morphisms: different base categories")
@@ -208,7 +210,7 @@ def enumerate_presheaf_morphisms(
             total *= max(1, len(G.values[x])) ** len(F.values[x])
             if total > budget:
                 raise ResourceBudgetError("enumerate_presheaf_morphisms", total, budget)
-    return tuple(_natural_families(F, G, bijective=False))
+    return tuple(itertools.islice(_natural_families(F, G, bijective=False), limit))
 
 
 def find_presheaf_iso(F: Presheaf, G: Presheaf) -> Optional[PresheafMorphism]:
@@ -314,12 +316,18 @@ def yoneda_embed(C: FinCategory, X: str) -> Presheaf:
 
 def yoneda_on_mor(C: FinCategory, u: str) -> PresheafMorphism:
     """Postcomposition with u, as a morphism of representables."""
+    # density_check asks for it once per arrow of every element category
+    hit = C._derived.get(("repr-mor", u))
+    if hit is not None:
+        return hit
     hx = yoneda_embed(C, C.src(u))
     hy = yoneda_embed(C, C.tgt(u))
     comps = {
         Y: {g: C.compose(u, g) for g in hx.values[Y]} for Y in C.objects
     }
-    return PresheafMorphism(hx, hy, comps, f"h[{u}]")
+    t = PresheafMorphism(hx, hy, comps, f"h[{u}]")
+    C._derived[("repr-mor", u)] = t
+    return t
 
 
 def yoneda_forward(C: FinCategory, X: str, t: PresheafMorphism) -> str:
@@ -713,7 +721,10 @@ class PresheafCategory(ComputationalCategory):
         self.hom_budget = hom_budget
         self.name = name or f"PSh({base.name})<= {bound}".replace(" ", "")
         self._objects: Optional[list[Presheaf]] = None
-        self._hom_memo: dict[tuple[str, str, str, str], tuple[PresheafMorphism, ...]] = {}
+        # per pair: the maps searched so far, and whether they are the whole set
+        self._hom_memo: dict[
+            tuple[str, str, str, str], tuple[tuple[PresheafMorphism, ...], bool]
+        ] = {}
 
     def objects(self) -> list[Presheaf]:
         if self._objects is None:
@@ -725,12 +736,32 @@ class PresheafCategory(ComputationalCategory):
     def probe_objects(self) -> list[Presheaf]:
         return [yoneda_embed(self.base, X) for X in sorted(self.base.objects)]
 
-    def hom(self, a: Presheaf, b: Presheaf) -> list[PresheafMorphism]:
+    def _hom_key(self, a: Presheaf, b: Presheaf) -> tuple[str, str, str, str]:
         # names feed mor_key, so same-content objects must not share a slot
-        k = (a.name, presheaf_key(a), b.name, presheaf_key(b))
-        if k not in self._hom_memo:
-            self._hom_memo[k] = enumerate_presheaf_morphisms(a, b, budget=self.hom_budget)
-        return list(self._hom_memo[k])
+        return (a.name, presheaf_key(a), b.name, presheaf_key(b))
+
+    def hom(self, a: Presheaf, b: Presheaf) -> list[PresheafMorphism]:
+        k = self._hom_key(a, b)
+        slot = self._hom_memo.get(k)
+        if slot is None or not slot[1]:
+            slot = self._hom_memo[k] = (
+                enumerate_presheaf_morphisms(a, b, budget=self.hom_budget), True
+            )
+        return list(slot[0])
+
+    def hom_prefix(self, a: Presheaf, b: Presheaf, n: int) -> list[PresheafMorphism]:
+        """The first n maps of ``hom(a, b)``; the search stops after them.
+
+        The budget is checked as for ``hom``.  A search that stops early
+        leaves an incomplete slot, which a later ``hom`` replaces and a
+        later prefix read of at most n maps slices.
+        """
+        k = self._hom_key(a, b)
+        slot = self._hom_memo.get(k)
+        if slot is None or (not slot[1] and len(slot[0]) < n):
+            maps = enumerate_presheaf_morphisms(a, b, budget=self.hom_budget, limit=n)
+            slot = self._hom_memo[k] = (maps, len(maps) < n)
+        return list(slot[0][:n])
 
     def identity(self, a: Presheaf) -> PresheafMorphism:
         return presheaf_identity(a)

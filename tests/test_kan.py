@@ -9,6 +9,7 @@ of its transpose, are checked against a direct construction from the
 functor's tables.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -54,6 +55,7 @@ from toposkit.presheaf import (
     compose_presheaf_morphisms,
     constant_presheaf,
     enumerate_presheaf_morphisms,
+    element_node,
     enumerate_presheaves,
     find_presheaf_iso,
     finset_category,
@@ -218,6 +220,55 @@ def test_extension_memo_dies_with_its_functor():
     del p
     gc.collect()
     assert alive() is None
+
+
+def test_extension_memo_keeps_neither_the_presheaf_nor_its_elements():
+    p = upset_char(DIAMOND, {"a", "top"}, "keeper")
+    H = constant_presheaf(DIAMOND, ["h0", "h1"], name="temporary")
+    value = tilde_extend(p, H)
+    assert [f.name for f in dataclasses.fields(value)] == ["obj_elem", "colimit"]
+    assert set(value.obj_elem) == set(value.colimit.legs)
+    gone = weakref.ref(H)
+    del H
+    gc.collect()
+    assert gone() is None
+    assert list(p._memo["extension"].values()) == [value]
+    assert validate_presheaf(value.obj).ok
+
+
+def test_extension_maps_phi_and_eta_agree_with_the_colimit_legs():
+    p = POINT_A
+    for X in DIAMOND.objects:
+        legs = tilde_extend(p, yoneda_embed(DIAMOND, X)).colimit.legs
+        assert eta_component(p, X) is legs[element_node(f"id_{X}", X)]
+    for m in DIAMOND.non_identities():
+        t = yoneda_on_mor(DIAMOND, m)
+        vf, vg = tilde_extend(p, t.dom), tilde_extend(p, t.cod)
+        lifted = tilde_extend_mor(p, t)
+        for n, (e, X) in vf.obj_elem.items():
+            leg = vg.colimit.legs[element_node(t.components[X][e], X)]
+            assert FS.equal_mor(FS.compose(lifted, vf.colimit.legs[n]), leg)
+    H = yoneda_embed(DIAMOND, "top")
+    value = tilde_extend(p, H)
+    phi = adjunction_phi(p, H, Z2)
+    for w in FS.hom(value.obj, Z2):
+        t = phi.forward(w)
+        for n, (e, X) in value.obj_elem.items():
+            leg = FS.compose(w, value.colimit.legs[n])
+            assert FS.equal_mor(phi.hp.decode[X][t.components[X][e]], leg)
+        assert FS.equal_mor(phi.backward(t), w)
+
+
+def test_prefix_read_of_a_large_hom_set_keeps_only_the_prefix():
+    FS9 = finset_category(9)
+    A = finset_obj([f"a{i}" for i in range(9)], name="A9")
+    B = finset_obj(["b0", "b1", "b2"], name="B3")
+    got = FS9.hom_prefix(A, B, 2)
+    (maps, complete), = FS9._hom_memo.values()
+    assert len(maps) == 2 and not complete
+    first = {f"a{i}": "b0" for i in range(9)}
+    assert [t.components["*"] for t in got] == [first, {**first, "a8": "b1"}]
+    assert len(FS9.hom(A, B)) == 3**9
 
 
 def test_extension_preserves_identities_and_composition():

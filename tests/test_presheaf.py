@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import chain, diamond, discrete2, parallel_arrows, walking_idempotent, z2_group
 from toposkit.errors import FactorizationError, ResourceBudgetError
 from toposkit.fincat import (
+    FinCatHandle,
     HandleDiagram,
     discrete_category,
     make_category,
@@ -306,6 +307,17 @@ def test_eval_bijection_on_diamond_fixtures():
 def test_eval_bijection_on_group_base():
     C = z2_group()
     exhaustive_eval_bijection(C, enumerate_presheaves(C, 2))
+
+
+def test_representable_morphisms_are_shared_per_base():
+    C = diamond()
+    for m in C.morphisms:
+        t = yoneda_on_mor(C, m.name)
+        assert yoneda_on_mor(C, m.name) is t
+        assert t.dom is yoneda_embed(C, m.src) and t.cod is yoneda_embed(C, m.tgt)
+        assert t.components == {
+            Y: {g: C.compose(m.name, g) for g in C.hom(Y, m.src)} for Y in C.objects
+        }
 
 
 def test_representable_morphisms_compose_as_arrows():
@@ -639,6 +651,71 @@ def test_handle_hom_and_iso():
     iso = PS.find_iso(F, G)
     assert iso is not None
     assert PS.is_iso(iso)
+
+
+def components(maps):
+    return [t.components for t in maps]
+
+
+def draw_pair(data):
+    census = data.draw(st.sampled_from(CENSUS_2))
+    return data.draw(st.sampled_from(census)), data.draw(st.sampled_from(census))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_prefix_reads_are_prefixes_of_the_hom_set(data):
+    F, G = draw_pair(data)
+    full = components(PresheafCategory(F.base, 2).hom(F, G))
+    for n in range(len(full) + 3):
+        # a fresh handle, so each read runs its own search
+        PS = PresheafCategory(F.base, 2)
+        assert components(PS.hom_prefix(F, G, n)) == full[:n]
+        (maps, complete), = PS._hom_memo.values()
+        assert len(maps) == min(n, len(full)) and complete == (n > len(full))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_later_reads_extend_or_slice_an_incomplete_slot(data):
+    F, G = draw_pair(data)
+    full = components(enumerate_presheaf_morphisms(F, G))
+    n = data.draw(st.integers(0, len(full) + 2))
+    m = data.draw(st.integers(0, len(full) + 2))
+    PS = PresheafCategory(F.base, 2)
+    assert components(PS.hom_prefix(F, G, n)) == full[:n]
+    assert components(PS.hom_prefix(F, G, m)) == full[:m]
+    assert components(PS.hom(F, G)) == full
+    (maps, complete), = PS._hom_memo.values()
+    assert complete and components(maps) == full
+    assert components(PS.hom_prefix(F, G, n)) == full[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_reads_refuse_exactly_where_hom_refuses(data):
+    F, G = draw_pair(data)
+    budget = data.draw(st.integers(1, 300))
+    n = data.draw(st.integers(0, 3))
+
+    def refused(read) -> bool:
+        try:
+            read(PresheafCategory(F.base, 2, hom_budget=budget))
+        except ResourceBudgetError:
+            return True
+        return False
+
+    assert refused(lambda PS: PS.hom(F, G)) == refused(lambda PS: PS.hom_prefix(F, G, n))
+
+
+@pytest.mark.parametrize("maker", [diamond, z2_group, parallel_arrows, walking_idempotent])
+def test_fincat_handle_prefix_is_a_slice_of_hom(maker):
+    H = FinCatHandle(maker())
+    for a in H.objects():
+        for b in H.objects():
+            homs = H.hom(a, b)
+            for n in range(len(homs) + 3):
+                assert H.hom_prefix(a, b, n) == homs[:n]
 
 
 def test_handle_objects_respect_budget():
