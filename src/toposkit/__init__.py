@@ -27,6 +27,7 @@ from .presheaf import (
     yoneda_embed,
 )
 from .site import (
+    SheafCategory,
     Site,
     canonical_pretopology,
     epsilon,
@@ -34,7 +35,6 @@ from .site import (
     is_continuous,
     is_sheaf,
     is_subcanonical,
-    sheaf_category,
     sheafify,
 )
 from .kan import (
@@ -61,6 +61,7 @@ __all__ = [
     "PresheafCategory",
     "PresheafMorphism",
     "ResourceBudgetError",
+    "SheafCategory",
     "Site",
     "StructureError",
     "ToposkitError",
@@ -88,7 +89,6 @@ __all__ = [
     "print_workspace",
     "right_adjoint_hp",
     "run_theorem_suite",
-    "sheaf_category",
     "sheafify",
     "suite_all",
     "tilde_extend",

@@ -29,9 +29,9 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 from .errors import FactorizationError, StructureError
 from .search import backtrack
 
-# Hard size caps for user-supplied categories.  Internal constructions
-# (categories of elements, for instance) may be larger; validators take
-# explicit None to lift the caps in those cases.
+# Hard size caps for user-supplied categories, reported by
+# validate_category as "size-bound" violations.  Internal constructions
+# (categories of elements, for instance) may exceed them.
 MAX_OBJECTS = 6
 MAX_NON_IDENTITY = 24
 
@@ -59,7 +59,6 @@ class Violation:
 class ValidationReport:
     """Outcome of a validator: empty violation list means the laws hold."""
 
-    subject: str
     violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -68,13 +67,6 @@ class ValidationReport:
 
     def add(self, law: str, witness: tuple, detail: str) -> None:
         self.violations.append(Violation(law, witness, detail))
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +256,12 @@ def span_category() -> FinCategory:
     return make_category("span", ("l", "m", "r"), [("ml", "m", "l"), ("mr", "m", "r")], {})
 
 
-def validate_category(
-    C: FinCategory,
-    *,
-    max_objects: Optional[int] = MAX_OBJECTS,
-    max_non_identity: Optional[int] = MAX_NON_IDENTITY,
-) -> ValidationReport:
+def validate_category(C: FinCategory) -> ValidationReport:
     """Check the category laws and size caps, reporting every violation.
 
     Works on arbitrary FinCategory data, malformed or not; nothing raises.
     """
-    rep = ValidationReport(subject=f"category {C.name}")
+    rep = ValidationReport()
     names = [m.name for m in C.morphisms]
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
@@ -334,20 +321,19 @@ def validate_category(
                         (g.name, h.name, f.name),
                         f"(g.h).f = {left} but g.(h.f) = {right}",
                     )
-    if max_objects is not None and len(C.objects) > max_objects:
+    if len(C.objects) > MAX_OBJECTS:
         rep.add(
             "size-bound",
             (len(C.objects),),
-            f"{len(C.objects)} objects exceeds the cap of {max_objects}",
+            f"{len(C.objects)} objects exceeds the cap of {MAX_OBJECTS}",
         )
-    if max_non_identity is not None:
-        n = len(C.morphisms) - len(C.objects)
-        if n > max_non_identity:
-            rep.add(
-                "size-bound",
-                (n,),
-                f"{n} non-identity morphisms exceeds the cap of {max_non_identity}",
-            )
+    n = len(C.morphisms) - len(C.objects)
+    if n > MAX_NON_IDENTITY:
+        rep.add(
+            "size-bound",
+            (n,),
+            f"{n} non-identity morphisms exceeds the cap of {MAX_NON_IDENTITY}",
+        )
     return rep
 
 
@@ -376,7 +362,7 @@ class FinFunctor:
 
 
 def validate_functor(F: FinFunctor) -> ValidationReport:
-    rep = ValidationReport(subject=f"functor {F.name}")
+    rep = ValidationReport()
     for x in F.dom.objects:
         fx = F.obj_map.get(x)
         if fx is None or fx not in F.cod.objects:
@@ -408,7 +394,6 @@ def validate_functor(F: FinFunctor) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Cone:
-    diagram: FinFunctor
     apex: str
     legs: Mapping[str, str]
 
@@ -436,7 +421,7 @@ def enumerate_cones(D: FinFunctor) -> tuple[Cone, ...]:
         lambda chosen, d=D.obj_map[j]: C.hom(chosen[0], d) for j in jobjs
     ]
     return tuple(
-        Cone(D, apex, dict(zip(jobjs, legs)))
+        Cone(apex, dict(zip(jobjs, legs)))
         for apex, *legs in backtrack(domains, ok)
     )
 
@@ -471,7 +456,7 @@ def universal_cone_search(D: FinFunctor) -> Optional[Cone]:
 def is_cofiltered(C: FinCategory) -> ValidationReport:
     """Nonempty, every object pair admits a span into it, and every
     parallel pair admits an incoming equalizing arrow."""
-    rep = ValidationReport(subject=f"category {C.name} cofiltered")
+    rep = ValidationReport()
     if not C.objects:
         rep.add("nonempty", (), "category has no objects")
         return rep
@@ -685,7 +670,7 @@ class HandleFunctor:
 
 
 def validate_handle_functor(p: HandleFunctor) -> ValidationReport:
-    rep = ValidationReport(subject=f"functor {p.name} into {p.cod.name}")
+    rep = ValidationReport()
     Z = p.cod
     for x in p.dom.objects:
         if x not in p.obj_map:

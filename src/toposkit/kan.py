@@ -23,6 +23,7 @@ opposite base.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -153,7 +154,7 @@ def eta_iso(p: HandleFunctor) -> EtaResult:
     """All components of the natural isomorphism, with the law checks."""
     C = p.dom
     Z = p.cod
-    rep = ValidationReport(subject=f"eta of {p.name}")
+    rep = ValidationReport()
     comps = {X: eta_component(p, X) for X in C.objects}
     for X in C.objects:
         if not Z.is_iso(comps[X]):
@@ -241,8 +242,6 @@ class PhiResult:
 
     forward: Callable[[Mor], PresheafMorphism]
     backward: Callable[[PresheafMorphism], Mor]
-    hp: HpValue
-    extension: ExtensionValue
 
 
 def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
@@ -274,7 +273,7 @@ def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
         }
         return value.colimit.factor(z, legs)
 
-    return PhiResult(forward, backward, hp, value)
+    return PhiResult(forward, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +373,32 @@ class FlatVerdict:
         }
 
 
+def _limit_probes(pool: list[Presheaf], max_products: int, max_equalizers: int):
+    """The binary products, then the equalizers, that ``is_flat_bounded``
+    probes, in order: each as (diagram, shape, counterexample key, the two
+    pool members).  The hom set of a pair is searched only when the first
+    equalizer over it is reached.
+    """
+    pair = discrete_category("pair2", ["1", "2"])
+    products = (
+        (HandleDiagram(pair, {"1": P, "2": Q}, {}), "binary-product", "factors", P, Q)
+        for i, P in enumerate(pool)
+        for Q in pool[i:]
+    )
+    pp = parallel_pair_category()
+    equalizers = (
+        (HandleDiagram(pp, {"a": P, "b": Q}, {"u": t1, "v": t2}), "equalizer", "objects", P, Q)
+        for P in pool
+        for Q in pool
+        for ts in (enumerate_presheaf_morphisms(P, Q),)
+        for t1 in ts
+        for t2 in ts
+    )
+    return itertools.chain(
+        itertools.islice(products, max_products), itertools.islice(equalizers, max_equalizers)
+    )
+
+
 def is_flat_bounded(
     p: HandleFunctor,
     *,
@@ -387,16 +412,15 @@ def is_flat_bounded(
     drawn from the representables followed by the bounded enumeration.
     These shapes generate all finite limits.  A non-iso comparison map is
     a definitive counterexample; exhausting the budget is only ever
-    "verified-up-to-budget".
+    "verified-up-to-budget".  When the enumeration has more than
+    ``max_pool`` members, the pool is the representables alone and a note
+    says so.
     """
     C = p.dom
     Z = p.cod
     notes: list[str] = []
-    instances = 0
-
-    cmp0 = extension_terminal_comparison(p)
-    instances += 1
-    if not Z.is_iso(cmp0):
+    instances = 1
+    if not Z.is_iso(extension_terminal_comparison(p)):
         return FlatVerdict(
             "counterexample",
             {"shape": "terminal", "detail": "extension of the terminal presheaf is not terminal"},
@@ -406,68 +430,25 @@ def is_flat_bounded(
 
     pool: list[Presheaf] = [yoneda_embed(C, X) for X in sorted(C.objects)]
     try:
-        for F in enumerate_presheaves(C, FLAT_VALUE_BOUND, max_count=max_pool):
+        census = enumerate_presheaves(C, FLAT_VALUE_BOUND, max_count=max_pool)
+    except ResourceBudgetError:
+        notes.append(
+            f"presheaf census at value bound {FLAT_VALUE_BOUND} has more than {max_pool} "
+            f"members; the pool holds only the {len(pool)} representables"
+        )
+    else:
+        for F in census:
             pool.append(F)
             if len(pool) >= max_pool:
                 break
-    except ResourceBudgetError:
-        notes.append(f"presheaf pool truncated at {max_pool}")
 
-    pair = discrete_category("pair2", ["1", "2"])
-    done = 0
-    for i in range(len(pool)):
-        for j in range(i, len(pool)):
-            if done >= max_products:
-                break
-            D = HandleDiagram(pair, {"1": pool[i], "2": pool[j]}, {})
-            cmp1 = extension_limit_comparison(p, D)
-            instances += 1
-            done += 1
-            if not Z.is_iso(cmp1):
-                return FlatVerdict(
-                    "counterexample",
-                    {
-                        "shape": "binary-product",
-                        "factors": [pool[i].name or short_key(pool[i]),
-                                    pool[j].name or short_key(pool[j])],
-                    },
-                    instances,
-                    notes,
-                )
-        if done >= max_products:
-            break
-
-    pp = parallel_pair_category()
-    done = 0
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            if done >= max_equalizers:
-                break
-            ts = enumerate_presheaf_morphisms(pool[i], pool[j])
-            for t1 in ts:
-                for t2 in ts:
-                    if done >= max_equalizers:
-                        break
-                    D = HandleDiagram(pp, {"a": pool[i], "b": pool[j]}, {"u": t1, "v": t2})
-                    cmp2 = extension_limit_comparison(p, D)
-                    instances += 1
-                    done += 1
-                    if not Z.is_iso(cmp2):
-                        return FlatVerdict(
-                            "counterexample",
-                            {
-                                "shape": "equalizer",
-                                "objects": [pool[i].name or short_key(pool[i]),
-                                            pool[j].name or short_key(pool[j])],
-                            },
-                            instances,
-                            notes,
-                        )
-                if done >= max_equalizers:
-                    break
-        if done >= max_equalizers:
-            break
-
+    for D, shape, key, P, Q in _limit_probes(pool, max_products, max_equalizers):
+        instances += 1
+        if not Z.is_iso(extension_limit_comparison(p, D)):
+            return FlatVerdict(
+                "counterexample", {"shape": shape, key: [short_key(P), short_key(Q)]},
+                instances, notes,
+            )
     return FlatVerdict("verified-up-to-budget", None, instances, notes)
 
 
@@ -477,23 +458,18 @@ def is_flat_bounded(
 
 @dataclass
 class GeometricMorphismData:
-    """Inverse image, direct image, and the adjunction between them.
+    """Inverse image, direct image, and the flatness verdict behind them.
 
     ``inverse_image`` evaluates the extension on a presheaf (for a sheaf
     this is the restriction along sheafification, since extension and
     sheafified extension agree for continuous flat p); ``direct_image``
-    lands in sheaves, verified per call; ``phi`` produces the executable
-    bijection for a chosen presheaf and Z-object.
+    lands in sheaves, verified per call.  The adjunction between them is
+    ``adjunction_phi`` on p.
     """
 
-    p: HandleFunctor
-    site: Site
     inverse_image: Callable[[Presheaf], ExtensionValue]
     direct_image: Callable[[Obj], Presheaf]
-    phi: Callable[[Presheaf, Obj], PhiResult]
-    continuity: Any
     flatness: FlatVerdict
-    notes: list[str] = field(default_factory=list)
 
 
 def build_ell(p: HandleFunctor, site: Site, **flat_budget) -> GeometricMorphismData:
@@ -529,16 +505,4 @@ def build_ell(p: HandleFunctor, site: Site, **flat_budget) -> GeometricMorphismD
             )
         return hp
 
-    def phi(H: Presheaf, z: Obj) -> PhiResult:
-        return adjunction_phi(p, H, z)
-
-    return GeometricMorphismData(
-        p,
-        site,
-        inverse_image,
-        direct_image,
-        phi,
-        cont,
-        flat,
-        notes=[f"flatness: {flat.verdict} after {flat.instances} instances"],
-    )
+    return GeometricMorphismData(inverse_image, direct_image, flat)

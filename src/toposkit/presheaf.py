@@ -39,6 +39,11 @@ from .fincat import (
 )
 from .search import backtrack
 
+# the most presheaves a presheaf-category handle enumerates as its objects,
+# and the largest candidate product one of its hom searches may face
+MAX_PRESHEAVES = 200_000
+HOM_BUDGET = 2_000_000
+
 # ---------------------------------------------------------------------------
 # presheaves and their morphisms
 
@@ -82,7 +87,7 @@ def make_presheaf(
 
 
 def validate_presheaf(F: Presheaf) -> ValidationReport:
-    rep = ValidationReport(subject=f"presheaf {F.name or '<unnamed>'}")
+    rep = ValidationReport()
     C = F.base
     for x in C.objects:
         if x not in F.values:
@@ -138,7 +143,7 @@ class PresheafMorphism:
 
 
 def validate_presheaf_morphism(t: PresheafMorphism) -> ValidationReport:
-    rep = ValidationReport(subject=f"presheaf morphism {t.name or '<unnamed>'}")
+    rep = ValidationReport()
     if t.dom.base != t.cod.base:
         rep.add("frame", (), "domain and codomain live on different base categories")
         return rep
@@ -598,9 +603,6 @@ class DensityReport:
     comparison: Optional[PresheafMorphism]
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "detail": self.detail}
-
 
 def density_check(F: Presheaf) -> DensityReport:
     """Rebuild F as the colimit of representables over its elements.
@@ -700,25 +702,15 @@ class PresheafCategory(ComputationalCategory):
     """Presheaves on a fixed base with value sets of size <= bound.
 
     Enumeration of objects and homs is exact within the declared bounds;
-    exceeding ``max_objects`` or ``hom_budget`` raises ResourceBudgetError.
+    exceeding ``MAX_PRESHEAVES`` or ``HOM_BUDGET`` raises ResourceBudgetError.
     Probe objects are the representables: a separating family, since
     morphisms are determined pointwise by their values on elements and
     every element is classified by a map out of a representable.
     """
 
-    def __init__(
-        self,
-        base: FinCategory,
-        bound: int = 2,
-        *,
-        max_objects: int = 200_000,
-        hom_budget: int = 2_000_000,
-        name: str = "",
-    ) -> None:
+    def __init__(self, base: FinCategory, bound: int = 2, *, name: str = "") -> None:
         self.base = base
         self.bound = bound
-        self.max_objects = max_objects
-        self.hom_budget = hom_budget
         self.name = name or f"PSh({base.name})<= {bound}".replace(" ", "")
         self._objects: Optional[list[Presheaf]] = None
         # per pair: the maps searched so far, and whether they are the whole set
@@ -729,7 +721,7 @@ class PresheafCategory(ComputationalCategory):
     def objects(self) -> list[Presheaf]:
         if self._objects is None:
             self._objects = enumerate_presheaves(
-                self.base, self.bound, max_count=self.max_objects
+                self.base, self.bound, max_count=MAX_PRESHEAVES
             )
         return self._objects
 
@@ -745,7 +737,7 @@ class PresheafCategory(ComputationalCategory):
         slot = self._hom_memo.get(k)
         if slot is None or not slot[1]:
             slot = self._hom_memo[k] = (
-                enumerate_presheaf_morphisms(a, b, budget=self.hom_budget), True
+                enumerate_presheaf_morphisms(a, b, budget=HOM_BUDGET), True
             )
         return list(slot[0])
 
@@ -759,7 +751,7 @@ class PresheafCategory(ComputationalCategory):
         k = self._hom_key(a, b)
         slot = self._hom_memo.get(k)
         if slot is None or (not slot[1] and len(slot[0]) < n):
-            maps = enumerate_presheaf_morphisms(a, b, budget=self.hom_budget, limit=n)
+            maps = enumerate_presheaf_morphisms(a, b, budget=HOM_BUDGET, limit=n)
             slot = self._hom_memo[k] = (maps, len(maps) < n)
         return list(slot[0][:n])
 
@@ -800,16 +792,16 @@ class PresheafCategory(ComputationalCategory):
         return find_presheaf_iso(a, b)
 
 
-def presheaf_category(C: FinCategory, bound: int = 2, **kw) -> PresheafCategory:
-    return PresheafCategory(C, bound, **kw)
+def presheaf_category(C: FinCategory, bound: int = 2) -> PresheafCategory:
+    return PresheafCategory(C, bound)
 
 
 # ---------------------------------------------------------------------------
 # finite sets as presheaves on the point
 
 
-def finset_category(bound: int = 3, **kw) -> PresheafCategory:
-    return PresheafCategory(terminal_category(), bound, name=f"FinSet<={bound}", **kw)
+def finset_category(bound: int = 3) -> PresheafCategory:
+    return PresheafCategory(terminal_category(), bound, name=f"FinSet<={bound}")
 
 
 def finset_obj(labels: Sequence[str], name: str = "") -> Presheaf:

@@ -65,6 +65,11 @@ from .presheaf import (
 )
 from .search import backtrack
 
+# the most principal sieves on one object whose unions are enumerated
+MAX_SIEVE_GENERATORS = 16
+# the most arrows into one object whose subsets the canonical pretopology tries
+MAX_PRETOPOLOGY_ARROWS = 12
+
 # ---------------------------------------------------------------------------
 # sieves
 
@@ -116,14 +121,16 @@ def is_sieve_closed(C: FinCategory, S: Sieve) -> bool:
     return True
 
 
-def enumerate_sieves(C: FinCategory, X: str, *, max_generators: int = 16) -> tuple[Sieve, ...]:
+def enumerate_sieves(C: FinCategory, X: str) -> tuple[Sieve, ...]:
     """The full sieve lattice on X: all unions of principal sieves."""
     principals = sorted(
         {sieve_generated(C, X, [f]).arrows for f in C.arrows_into(X)},
         key=sorted,
     )
-    if len(principals) > max_generators:
-        raise ResourceBudgetError("enumerate_sieves", 2 ** len(principals), 2 ** max_generators)
+    if len(principals) > MAX_SIEVE_GENERATORS:
+        raise ResourceBudgetError(
+            "enumerate_sieves", 2 ** len(principals), 2 ** MAX_SIEVE_GENERATORS
+        )
     seen: set[frozenset[str]] = set()
     for r in range(len(principals) + 1):
         for combo in itertools.combinations(principals, r):
@@ -151,9 +158,6 @@ class Site:
     minimal: Mapping[str, Sieve]
     name: str = field(default="", compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def covering(self, X: str) -> tuple[Sieve, ...]:
-        return self.topology[X]
 
 
 def generate_topology(
@@ -226,7 +230,7 @@ def generate_topology(
 
 def validate_site(site: Site) -> ValidationReport:
     """Re-check the topology axioms on the stored sieve system."""
-    rep = ValidationReport(subject=f"site {site.name}")
+    rep = ValidationReport()
     C = site.base
     for X in C.objects:
         sieves = set(site.topology[X])
@@ -394,10 +398,6 @@ def matching_families(site: Site, S: Sieve, F: Presheaf) -> list[tuple[str, ...]
 class SheafReport:
     ok: bool
     witness: Optional[dict]
-    checked: int
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "witness": self.witness, "checked": self.checked}
 
 
 def _restrictions(F: Presheaf, X: str, arrows: Sequence[str]) -> list[tuple[str, ...]]:
@@ -421,10 +421,8 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
     family is then freely and uniquely determined by its value there.
     """
     plan = site_plan(site)
-    checked = 0
     for X in sorted(site.base.objects):
         for sp in plan.covering[X]:
-            checked += 1
             families = _families(sp, F)
             family_set = set(families)
             if len(family_set) != len(families):
@@ -440,7 +438,6 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
                             "kind": "not-separated",
                             "elements": [seen[fam], x],
                         },
-                        checked,
                     )
                 if fam not in family_set:
                     raise ConsistencyError("restriction of an element is not matching")
@@ -455,9 +452,8 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
                         "kind": "no-amalgamation",
                         "family": list(missing),
                     },
-                    checked,
                 )
-    return SheafReport(True, None, checked)
+    return SheafReport(True, None)
 
 
 def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
@@ -471,10 +467,8 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
     witness is the first failing family in that order.
     """
     acts = F.actions
-    checked = 0
     for X, covers in site_plan(site).covers.items():
         for cp in covers:
-            checked += 1
             by_later = [[(a, acts[g], acts[h]) for a, g, h in spans] for spans in cp.by_later]
 
             def ok(i: int, assign: list) -> bool:
@@ -496,9 +490,8 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
                             "family": list(tup),
                             "amalgamations": hits,
                         },
-                        checked,
                     )
-    return SheafReport(True, None, checked)
+    return SheafReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +683,6 @@ def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
 class StrictEpiReport:
     ok: bool
     witness: Optional[dict]
-    targets_checked: int
-    families_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness": self.witness,
-            "targets_checked": self.targets_checked,
-            "families_checked": self.families_checked,
-        }
 
 
 def is_strict_epi_family(
@@ -716,8 +699,8 @@ def is_strict_epi_family(
     for the empty family, where it cannot be read off the members.
     Per target, agreeing families are scanned in the order of filtering
     the product of the hom pools, each relation checked at its later
-    member; the witness and ``families_checked`` stop at the first
-    family without exactly one factoring.
+    member; the witness is the first family without exactly one
+    factoring.
     """
     if family:
         target = Z.target(family[0])
@@ -746,14 +729,10 @@ def is_strict_epi_family(
             for i, x, z in relations[j]
         )
 
-    targets_checked = 0
-    families_checked = 0
     for Y in Z.objects():
-        targets_checked += 1
         pools = [Z.hom(src, Y) for src in sources]
         hom_xy = Z.hom(target, Y)
         for assign in backtrack(pools, ok):
-            families_checked += 1
             hits = [
                 w
                 for w in hom_xy
@@ -768,8 +747,8 @@ def is_strict_epi_family(
                     "family": [Z.mor_key(a) for a in assign],
                     "factorings": len(hits),
                 }
-                return StrictEpiReport(False, witness, targets_checked, families_checked)
-    return StrictEpiReport(True, None, targets_checked, families_checked)
+                return StrictEpiReport(False, witness)
+    return StrictEpiReport(True, None)
 
 
 @dataclass
@@ -777,15 +756,6 @@ class UniversalStrictEpiReport:
     ok: bool
     witness: Optional[dict]
     gaps: list[dict]
-    base_changes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness": self.witness,
-            "gaps": self.gaps,
-            "base_changes": self.base_changes,
-        }
 
 
 def is_universal_strict_epi(
@@ -816,7 +786,6 @@ def is_universal_strict_epi(
     cospan = cospan_category()
     gaps: list[dict] = []
     witness: Optional[dict] = None
-    base_changes = 0
     for g in C.arrows_into(X):
         Y = C.src(g)
         pulled: list[str] = []
@@ -832,7 +801,6 @@ def is_universal_strict_epi(
             pulled.append(lim.legs["l"])
         if missing:
             continue
-        base_changes += 1
         if witness is None:
             rep = is_strict_epi_family(handle, pulled, target=Y)
             if not rep.ok:
@@ -841,12 +809,10 @@ def is_universal_strict_epi(
                     "pulled_family": pulled,
                     "failure": rep.witness,
                 }
-    return UniversalStrictEpiReport(witness is None, witness, gaps, base_changes)
+    return UniversalStrictEpiReport(witness is None, witness, gaps)
 
 
-def canonical_pretopology(
-    C: FinCategory, *, max_family_size: Optional[int] = None, max_arrows: int = 12
-) -> dict[str, tuple[tuple[str, ...], ...]]:
+def canonical_pretopology(C: FinCategory) -> dict[str, tuple[tuple[str, ...], ...]]:
     """All universal strict epimorphic families, up to sieve redundancy.
 
     Families are subsets of the arrows into each object; two families
@@ -855,11 +821,12 @@ def canonical_pretopology(
     out: dict[str, tuple[tuple[str, ...], ...]] = {}
     for X in sorted(C.objects):
         arrows = C.arrows_into(X)
-        if len(arrows) > max_arrows:
-            raise ResourceBudgetError("canonical_pretopology", 2 ** len(arrows), 2 ** max_arrows)
-        cap = len(arrows) if max_family_size is None else max_family_size
+        if len(arrows) > MAX_PRETOPOLOGY_ARROWS:
+            raise ResourceBudgetError(
+                "canonical_pretopology", 2 ** len(arrows), 2 ** MAX_PRETOPOLOGY_ARROWS
+            )
         by_sieve: dict[frozenset[str], tuple[str, ...]] = {}
-        for r in range(cap + 1):
+        for r in range(len(arrows) + 1):
             for fam in itertools.combinations(arrows, r):
                 rep = is_universal_strict_epi(C, fam, target=X)
                 if not rep.ok:
@@ -969,19 +936,8 @@ class SheafCategory(PresheafCategory):
     property.
     """
 
-    def __init__(
-        self,
-        site: Site,
-        bound: int = 2,
-        *,
-        max_objects: int = 200_000,
-        hom_budget: int = 2_000_000,
-        name: str = "",
-    ) -> None:
-        super().__init__(
-            site.base, bound, max_objects=max_objects, hom_budget=hom_budget,
-            name=name or f"Sh({site.name})<={bound}",
-        )
+    def __init__(self, site: Site, bound: int = 2, *, name: str = "") -> None:
+        super().__init__(site.base, bound, name=name or f"Sh({site.name})<={bound}")
         self.site = site
         # apart from the presheaf census, which PresheafCategory caches
         self._sheaves: Optional[list[Presheaf]] = None
@@ -1015,10 +971,6 @@ class SheafCategory(PresheafCategory):
             return factor_through_unit(self.site, res, apex2, t)
 
         return LimitData(res.sheaf, legs, factor)
-
-
-def sheaf_category(site: Site, bound: int = 2, **kw) -> SheafCategory:
-    return SheafCategory(site, bound, **kw)
 
 
 def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> PresheafMorphism:

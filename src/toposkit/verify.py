@@ -97,6 +97,8 @@ _CENSUS_BOUND_CAP = 3
 HOM_POOL_BOUND = 3000
 # suite IV skips a natural-map enumeration whose candidate product is larger
 NAT_POOL_BOUND = 1_000_000
+# draws random_presheaf makes before it gives up
+RANDOM_PRESHEAF_ATTEMPTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def _indecomposables(C: FinCategory) -> list[str]:
 
 
 def random_presheaf(
-    C: FinCategory, rng: random.Random, bound: int = 3, name: str = "", attempts: int = 1000
+    C: FinCategory, rng: random.Random, bound: int = 3, name: str = ""
 ) -> Presheaf:
     """A uniformly drawn functorial table, by rejection.
 
@@ -271,7 +273,7 @@ def random_presheaf(
     gens = _indecomposables(C)
     non_ids = sorted(C.non_identities())
     objs = sorted(C.objects)
-    for _ in range(attempts):
+    for _ in range(RANDOM_PRESHEAF_ATTEMPTS):
         values = {X: tuple(f"x{i}" for i in range(rng.randint(0, bound))) for X in objs}
         actions: dict[str, dict[str, str]] = {}
         ok = True
@@ -315,7 +317,9 @@ def random_presheaf(
         F = make_presheaf(C, values, actions, name=name)
         if validate_presheaf(F).ok:
             return F
-    raise ResourceBudgetError("random_presheaf", attempts + 1, attempts)
+    raise ResourceBudgetError(
+        "random_presheaf", RANDOM_PRESHEAF_ATTEMPTS + 1, RANDOM_PRESHEAF_ATTEMPTS
+    )
 
 
 def random_fs_diagram(
@@ -783,25 +787,49 @@ def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             )
 
 
-def _restricted_extension(fx: FunctorFixture) -> HandleFunctor:
-    """The composite of the extension with the representable embedding."""
+def _check_extension_along(
+    corpus: Corpus,
+    budget: Budget,
+    rec: _Recorder,
+    fx: FunctorFixture,
+    suite: str,
+    on_obj: Callable[[str], Presheaf],
+    on_mor: Callable[[str], PresheafMorphism],
+    details: tuple[str, str],
+) -> None:
+    """q = the extension of p composed with the functor C -> PSh(C) given
+    by on_obj and on_mor: check that q is a functor, then that its
+    extension agrees with p's on the seeded presheaf sample.  ``details``
+    are the two failure details.
+    """
     p = fx.functor
     C = p.dom
-    return HandleFunctor(
-        f"{fx.name}~h",
+    q = HandleFunctor(
+        f"{fx.name}~{suite}",
         C,
         p.cod,
-        {X: tilde_extend(p, yoneda_embed(C, X)).obj for X in C.objects},
-        {m: tilde_extend_mor(p, yoneda_on_mor(C, m)) for m in C.non_identities()},
+        {X: tilde_extend(p, on_obj(X)).obj for X in C.objects},
+        {m: tilde_extend_mor(p, on_mor(m)) for m in C.non_identities()},
     )
+    rec.check(
+        validate_handle_functor(q).ok,
+        lambda: {"fixture": fx.name, "detail": details[0]},
+    )
+    rng = random.Random(f"{corpus.seed}:{suite}:{fx.name}")
+    for H in _sample(rng, corpus.presheaves[fx.base], budget.presheaf_samples):
+        lhs = tilde_extend(q, H).obj
+        rhs = tilde_extend(p, H).obj
+        rec.check(
+            p.cod.find_iso(lhs, rhs) is not None,
+            lambda: {"fixture": fx.name, "presheaf": short_key(H), "detail": details[1]},
+        )
 
 
 def _suite_III(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
     rec.note("cocontinuous functors are presented as extensions of corpus fixtures")
     for fx in corpus.functors:
-        p = fx.functor
-        Z = p.cod
-        res = eta_iso(p)
+        C = fx.functor.dom
+        res = eta_iso(fx.functor)
         rec.check(
             res.report.ok,
             lambda: {
@@ -809,23 +837,14 @@ def _suite_III(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                 "violations": [v.to_dict() for v in res.report.violations],
             },
         )
-        q = _restricted_extension(fx)
-        rec.check(
-            validate_handle_functor(q).ok,
-            lambda: {"fixture": fx.name, "detail": "restricted extension is not a functor"},
+        _check_extension_along(
+            corpus, budget, rec, fx, "III",
+            lambda X: yoneda_embed(C, X), lambda m: yoneda_on_mor(C, m),
+            (
+                "restricted extension is not a functor",
+                "extension of the restriction disagrees with the extension",
+            ),
         )
-        rng = random.Random(f"{corpus.seed}:III:{fx.name}")
-        for H in _sample(rng, corpus.presheaves[fx.base], budget.presheaf_samples):
-            lhs = tilde_extend(q, H).obj
-            rhs = tilde_extend(p, H).obj
-            rec.check(
-                Z.find_iso(lhs, rhs) is not None,
-                lambda: {
-                    "fixture": fx.name,
-                    "presheaf": short_key(H),
-                    "detail": "extension of the restriction disagrees with the extension",
-                },
-            )
 
 
 def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
@@ -1076,32 +1095,14 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     "detail": "inverse image of the sheafified representable missed p",
                 },
             )
-        q = HandleFunctor(
-            f"{fx.name}~eps",
-            p.dom,
-            FSH,
-            {X: ell.inverse_image(epsilon(site, X)).obj for X in p.dom.objects},
-            {
-                m: tilde_extend_mor(p, epsilon_on_mor(site, m))
-                for m in p.dom.non_identities()
-            },
+        _check_extension_along(
+            corpus, budget, rec, fx, "VI",
+            lambda X: epsilon(site, X), lambda m: epsilon_on_mor(site, m),
+            (
+                "restriction along sheafification broke",
+                "rebuilt inverse image disagrees on a sample",
+            ),
         )
-        rec.check(
-            validate_handle_functor(q).ok,
-            lambda: {"fixture": fx.name, "detail": "restriction along sheafification broke"},
-        )
-        rng = random.Random(f"{corpus.seed}:VI:{fx.name}")
-        for H in _sample(rng, corpus.presheaves[fx.base], budget.presheaf_samples):
-            lhs = tilde_extend(q, H).obj
-            rhs = tilde_extend(p, H).obj
-            rec.check(
-                FSH.find_iso(lhs, rhs) is not None,
-                lambda: {
-                    "fixture": fx.name,
-                    "presheaf": short_key(H),
-                    "detail": "rebuilt inverse image disagrees on a sample",
-                },
-            )
         if fx.site == "arrow_trivial":
             rec.note("trivial-topology fixtures reduce to the adjunction suite")
 

@@ -56,12 +56,12 @@ from .errors import StructureError, ToposkitError, WorkspaceParseError
 from .fincat import FinCategory, HandleFunctor, make_category, validate_category, validate_handle_functor
 from .presheaf import (
     Presheaf,
+    PresheafCategory,
     PresheafMorphism,
     make_presheaf,
-    presheaf_category,
     validate_presheaf,
 )
-from .site import Site, generate_topology, sheaf_category, validate_site
+from .site import SheafCategory, Site, generate_topology, validate_site
 
 _NAME = re.compile(r"^[A-Za-z0-9_.*|'+()-]+$")
 _BLOCK_KEYWORDS = {"category", "presheaf", "site", "handle", "functor", "config"}
@@ -104,11 +104,11 @@ class Workspace:
         if name not in self._materialized:
             decl = self.handle_decls[name]
             if decl.kind == "presheaves":
-                self._materialized[name] = presheaf_category(
+                self._materialized[name] = PresheafCategory(
                     self.categories[decl.ref], decl.bound, name=name
                 )
             else:
-                self._materialized[name] = sheaf_category(
+                self._materialized[name] = SheafCategory(
                     self.sites[decl.ref], decl.bound, name=name
                 )
         return self._materialized[name]
@@ -180,15 +180,18 @@ class Workspace:
         return isinstance(other, Workspace) and self.canonical() == other.canonical()
 
 
+def _handle_base(ws: Workspace, handle: str) -> FinCategory:
+    """The category a declared handle's presheaves live on."""
+    hdecl = ws.handle_decls[handle]
+    if hdecl.kind == "presheaves":
+        return ws.categories[hdecl.ref]
+    return ws.sites[hdecl.ref].base
+
+
 def _materialize_functor(ws: Workspace, decl: FunctorDecl) -> HandleFunctor:
     C = ws.categories[decl.base]
     Z = ws.handle(decl.handle)
-    hdecl = ws.handle_decls[decl.handle]
-    hbase = (
-        ws.categories[hdecl.ref]
-        if hdecl.kind == "presheaves"
-        else ws.sites[hdecl.ref].base
-    )
+    hbase = _handle_base(ws, decl.handle)
     obj_map = {}
     for X, spec in decl.objects.items():
         if spec[0] == "inline":
@@ -571,12 +574,7 @@ class _Parser:
             self.err(decl["line"], name, f"unknown handle {decl['handle']!r}")
             return None
         C = ws.categories[base]
-        hdecl = ws.handle_decls[decl["handle"]]
-        hbase = (
-            ws.categories[hdecl.ref]
-            if hdecl.kind == "presheaves"
-            else ws.sites[hdecl.ref].base
-        )
+        hbase = _handle_base(ws, decl["handle"])
         objects: dict[str, tuple] = {}
         for i, tokens in decl["sections"]["objects"]:
             # X = e0 e1 ...  |  X = presheaf P

@@ -5,6 +5,7 @@ complete.  Time limits are part of the criteria and asserted; every
 quantifier below is exhaustive or seeded, never spot-checked.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -197,4 +198,9 @@ def test_criterion_8_byte_identical_reports():
     assert second.returncode == 0, second.stderr.decode()[:500]
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty, so the comparison means something
+    # the report itself is pinned (3 068 bytes), so a change to any verdict,
+    # count, witness or note fails here and not only between two runs
+    assert hashlib.sha256(first.stdout).hexdigest() == (
+        "92e5ad49327b58ae8aaccc5201b266392fefe204efa2d20dcf828bd3278549f2"
+    )
     _verdict(8, t0, f"{len(first.stdout)} bytes, two runs")

@@ -4,6 +4,7 @@ Most tests drive ``main(argv)`` in-process and parse captured stdout.
 The reports must be machine-stable: same argv, same bytes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -386,6 +387,25 @@ def test_suite_output_is_deterministic(capsys):
     main(["suite", "III", "--seed", "1", "--budget", "small", "--report", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of `suite all --budget small --report json` per seed; the report
+# bytes are pinned so a change that alters any verdict, count, witness or
+# note shows here (2 991, 2 991, 2 992 and 2 992 bytes)
+SMALL_SUITE_ALL_SHA256 = {
+    0: "b9487e7a5b03652e164402f1138f870070c1cc4c67c854f3ccdbe360cbddfca4",
+    1: "f1f03e482e3069444bc1644b4eaf126a4536028d03a19bf9d8c60a825061b808",
+    2: "93617edbcc4dccfb1f5918775098adb087203b5a6d5a2846d86fcf7bddd30f01",
+    3: "7bfe24599889da5b213a30d680b052c1471cc0c423e827db6b4e2bdd4750e24f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SMALL_SUITE_ALL_SHA256))
+def test_small_suite_all_report_bytes_are_pinned(seed, capsys):
+    code = main(["suite", "all", "--seed", str(seed), "--budget", "small", "--report", "json"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == SMALL_SUITE_ALL_SHA256[seed]
 
 
 def test_out_writes_both_report_files(demo_ws, tmp_path, capsys):

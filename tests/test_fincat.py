@@ -23,6 +23,7 @@ from conftest import (
     walking_idempotent,
     z2_group,
 )
+from toposkit import fincat
 from toposkit.errors import FactorizationError, StructureError
 from toposkit.fincat import (
     Cone,
@@ -48,11 +49,11 @@ from toposkit.fincat import (
 # oracles
 
 
-def oracle_is_limit(cone: Cone) -> bool:
-    """Raw universality: every cone factors through exactly one morphism."""
-    C = cone.diagram.cod
-    jobjs = sorted(cone.diagram.dom.objects)
-    for other in enumerate_cones(cone.diagram):
+def oracle_is_limit(D: FinFunctor, cone: Cone) -> bool:
+    """Raw universality: every cone over D factors through exactly one morphism."""
+    C = D.cod
+    jobjs = sorted(D.dom.objects)
+    for other in enumerate_cones(D):
         hits = [
             f
             for f in C.hom(other.apex, cone.apex)
@@ -150,12 +151,13 @@ def test_validate_catches_partial_composition_table():
     assert any(v.law == "compose-total" for v in rep.violations)
 
 
-def test_validate_enforces_size_caps():
+def test_validate_enforces_size_caps(monkeypatch):
     objs = [f"o{i}" for i in range(7)]
     C = make_category("big", objs)
     rep = validate_category(C)
     assert any(v.law == "size-bound" for v in rep.violations)
-    assert validate_category(C, max_objects=None).ok
+    monkeypatch.setattr(fincat, "MAX_OBJECTS", 7)
+    assert validate_category(C).ok
 
 
 def test_validate_morphism_cap_counts_non_identities():
@@ -163,7 +165,7 @@ def test_validate_morphism_cap_counts_non_identities():
     compose = {(f"m{i}", f"m{j}"): "m0" for i in range(25) for j in range(25)}
     # deliberately non-associative is fine for the cap check; build raw
     C = make_category("many", ["x"], mors, compose)
-    rep = validate_category(C, max_objects=None)
+    rep = validate_category(C)
     assert any(v.law == "size-bound" for v in rep.violations)
 
 
@@ -192,7 +194,7 @@ def test_opposite_involutive_on_random_posets(pairs):
     objs = [f"p{i}" for i in range(4)]
     C = poset_category("rnd", objs, [(objs[a], objs[b]) for a, b in pairs])
     assert validate_category(C).ok
-    assert validate_category(opposite(C), max_objects=None).ok
+    assert validate_category(opposite(C)).ok
     assert opposite(opposite(C)) == C
 
 
@@ -310,7 +312,7 @@ def test_meet_is_product_in_poset(diamond_cat):
     cone = universal_cone_search(D)
     assert cone.apex == "bot"
     assert cone.legs == {"l": "bot.a", "r": "bot.b"}
-    assert oracle_is_limit(cone)
+    assert oracle_is_limit(D, cone)
 
 
 def test_pullback_in_poset_is_meet(diamond_cat):
@@ -324,7 +326,7 @@ def test_pullback_in_poset_is_meet(diamond_cat):
     )
     cone = universal_cone_search(D)
     assert cone.apex == "bot"
-    assert oracle_is_limit(cone)
+    assert oracle_is_limit(D, cone)
 
 
 def test_group_has_no_binary_product():
@@ -360,7 +362,7 @@ def test_every_returned_cone_passes_raw_universality():
                 )
                 cone = universal_cone_search(D)
                 if cone is not None:
-                    assert oracle_is_limit(cone)
+                    assert oracle_is_limit(D, cone)
 
 
 def test_cone_search_returns_lexicographically_smallest_apex():

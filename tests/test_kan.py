@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import parallel_arrows, walking_idempotent, z2_group
+from toposkit import kan, presheaf
 from toposkit.errors import (
     ConsistencyError,
     ConstructionRefused,
@@ -30,12 +31,14 @@ from toposkit.fincat import (
     is_cofiltered,
     make_category,
     opposite,
+    parallel_pair_category,
     poset_category,
     terminal_category,
     validate_category,
     validate_handle_functor,
 )
 from toposkit.kan import (
+    _hp_value,
     adjunction_phi,
     build_ell,
     covariant_elements,
@@ -64,6 +67,7 @@ from toposkit.presheaf import (
     finset_value,
     presheaf_category,
     presheaf_identity,
+    short_key,
     validate_presheaf,
     validate_presheaf_morphism,
     yoneda_embed,
@@ -251,11 +255,12 @@ def test_extension_maps_phi_and_eta_agree_with_the_colimit_legs():
     H = yoneda_embed(DIAMOND, "top")
     value = tilde_extend(p, H)
     phi = adjunction_phi(p, H, Z2)
+    decode = _hp_value(p, Z2).decode
     for w in FS.hom(value.obj, Z2):
         t = phi.forward(w)
         for n, (e, X) in value.obj_elem.items():
             leg = FS.compose(w, value.colimit.legs[n])
-            assert FS.equal_mor(phi.hp.decode[X][t.components[X][e]], leg)
+            assert FS.equal_mor(decode[X][t.components[X][e]], leg)
         assert FS.equal_mor(phi.backward(t), w)
 
 
@@ -392,14 +397,15 @@ def test_hp_table_memo_dies_with_its_functor():
     assert alive() is None and table() is None
 
 
-def test_hp_budget_refusal_is_raised_again_and_never_cached():
-    FS_tight = finset_category(3, hom_budget=4)
+def test_hp_budget_refusal_is_raised_again_and_never_cached(monkeypatch):
+    monkeypatch.setattr(presheaf, "HOM_BUDGET", 4)
+    FS_tight = finset_category(3)
     p = HandleFunctor("pick_S2", ONE, FS_tight, {"*": S2}, {})
     T3 = finset_obj(["t0", "t1", "t2"], name="T3")  # 9 maps S2 -> T3
     for _ in range(2):
         with pytest.raises(ResourceBudgetError):
             right_adjoint_hp(p, T3)
-    FS_tight.hom_budget = 100
+    monkeypatch.setattr(presheaf, "HOM_BUDGET", 100)
     assert len(right_adjoint_hp(p, T3).values["*"]) == 9
 
 
@@ -591,9 +597,112 @@ def test_flat_routes_never_disagree():
             assert not setwise
 
 
+def old_flat_probes(p, max_products, max_equalizers, max_pool):
+    """The product and equalizer loops of is_flat_bounded before they became
+    one probe generator, as (verdict, counterexample, instances); hom sets
+    are read through the kan module's binding, so a test can count them."""
+    C, Z = p.dom, p.cod
+    instances = 1
+    if not Z.is_iso(extension_terminal_comparison(p)):
+        detail = "extension of the terminal presheaf is not terminal"
+        return "counterexample", {"shape": "terminal", "detail": detail}, instances
+    pool = [yoneda_embed(C, X) for X in sorted(C.objects)]
+    try:
+        for F in enumerate_presheaves(C, 2, max_count=max_pool):
+            pool.append(F)
+            if len(pool) >= max_pool:
+                break
+    except ResourceBudgetError:
+        pass
+    pair = discrete_category("pair2", ["1", "2"])
+    done = 0
+    for i in range(len(pool)):
+        for j in range(i, len(pool)):
+            if done >= max_products:
+                break
+            D = HandleDiagram(pair, {"1": pool[i], "2": pool[j]}, {})
+            cmp1 = extension_limit_comparison(p, D)
+            instances += 1
+            done += 1
+            if not Z.is_iso(cmp1):
+                factors = [pool[i].name or short_key(pool[i]), pool[j].name or short_key(pool[j])]
+                return "counterexample", {"shape": "binary-product", "factors": factors}, instances
+        if done >= max_products:
+            break
+    pp = parallel_pair_category()
+    done = 0
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            if done >= max_equalizers:
+                break
+            ts = kan.enumerate_presheaf_morphisms(pool[i], pool[j])
+            for t1 in ts:
+                for t2 in ts:
+                    if done >= max_equalizers:
+                        break
+                    D = HandleDiagram(pp, {"a": pool[i], "b": pool[j]}, {"u": t1, "v": t2})
+                    cmp2 = extension_limit_comparison(p, D)
+                    instances += 1
+                    done += 1
+                    if not Z.is_iso(cmp2):
+                        objects = [pool[i].name or short_key(pool[i]),
+                                   pool[j].name or short_key(pool[j])]
+                        counterexample = {"shape": "equalizer", "objects": objects}
+                        return "counterexample", counterexample, instances
+                if done >= max_equalizers:
+                    break
+        if done >= max_equalizers:
+            break
+    return "verified-up-to-budget", None, instances
+
+
+# (0, 40, 40) reaches an equalizer counterexample on DOUBLE_U
+@pytest.mark.parametrize(
+    "knobs", [(12, 12, 20), (6, 6, 10), (0, 3, 4), (2, 0, 40), (30, 30, 6), (0, 40, 40)]
+)
+def test_flat_probes_match_the_old_loops(monkeypatch, knobs):
+    calls = []
+    search = kan.enumerate_presheaf_morphisms
+    monkeypatch.setattr(
+        kan, "enumerate_presheaf_morphisms", lambda F, G: calls.append(1) or search(F, G)
+    )
+    functors = [p for p, _ in corpus_functors()]
+    functors += [upset_char(DIAMOND, {"a", "b", "top"}, "wedge"), one_to(PT), one_to(E0)]
+    functors.append(upset_char(ARROW, {"s", "t"}, "all_arrow"))
+    max_products, max_equalizers, max_pool = knobs
+    for p in functors:
+        del calls[:]
+        old = old_flat_probes(p, max_products, max_equalizers, max_pool)
+        old_reads = len(calls)
+        del calls[:]
+        new = is_flat_bounded(
+            p, max_products=max_products, max_equalizers=max_equalizers, max_pool=max_pool
+        )
+        assert (new.verdict, new.counterexample, new.instances) == old
+        assert len(calls) == old_reads
+
+
+def test_flat_pool_note_says_the_pool_holds_only_the_representables():
+    # the bound-2 census on the arrow has 11 members: a pool of 10 cannot
+    # take it, so the probes run over h_s and h_t alone
+    assert len(enumerate_presheaves(ARROW, 2)) == 11
+    p = upset_char(ARROW, {"s", "t"}, "all_arrow")
+    small = is_flat_bounded(p, max_products=6, max_equalizers=6, max_pool=10)
+    assert small.notes == [
+        "presheaf census at value bound 2 has more than 10 members; "
+        "the pool holds only the 2 representables"
+    ]
+    # the terminal, the 3 products of h_s and h_t, and the 3 parallel pairs
+    # among their 3 maps
+    assert (small.verdict, small.instances) == ("verified-up-to-budget", 7)
+    fits = is_flat_bounded(p, max_products=6, max_equalizers=6, max_pool=11)
+    assert fits.notes == [] and fits.instances == 13
+
+
 def test_covariant_elements_is_a_category_with_named_nodes():
     gamma, nodes = covariant_elements(DOUBLE_U)
-    assert validate_category(gamma, max_objects=None, max_non_identity=None).ok
+    # an element category may exceed the caps on user-supplied categories
+    assert {v.law for v in validate_category(gamma).violations} <= {"size-bound"}
     assert set(nodes) == {"s0@u", "s1@u", "q@v"}
     assert nodes["s0@u"] == ("s0", "u")
     assert set(gamma.non_identities()) == {"u.v|s0", "u.v|s1"}
@@ -718,7 +827,7 @@ def test_build_ell_phi_round_trips():
     site = discrete_two_point_site()
     ell = build_ell(POINT_A, site)
     F = epsilon(site, "top")
-    phi = ell.phi(F, Z2)
+    phi = adjunction_phi(POINT_A, F, Z2)
     for w in FS.hom(ell.inverse_image(F).obj, Z2):
         assert FS.equal_mor(phi.backward(phi.forward(w)), w)
 

@@ -42,6 +42,7 @@ from toposkit.presheaf import (
     yoneda_embed,
 )
 from toposkit.site import (
+    SheafCategory,
     Sieve,
     Site,
     canonical_pretopology,
@@ -62,7 +63,6 @@ from toposkit.site import (
     plus_construction,
     plus_on_morphism,
     pullback_sieve,
-    sheaf_category,
     sheafification_limit_comparison,
     sheafify,
     sheafify_morphism,
@@ -724,7 +724,7 @@ def test_epsilon_is_continuous():
     eps = HandleFunctor(
         "epsilon",
         C,
-        sheaf_category(DISC, 2),
+        SheafCategory(DISC, 2),
         {X: epsilon(DISC, X) for X in C.objects},
         {m: epsilon_on_mor(DISC, m) for m in C.non_identities()},
     )
@@ -786,14 +786,14 @@ def test_empty_cover_of_a_populated_object_is_not_subcanonical():
 
 def test_trivial_site_handle_matches_presheaf_handle():
     site = trivial_site(diamond())
-    Sh = sheaf_category(site, 1)
+    Sh = SheafCategory(site, 1)
     Psh = PresheafCategory(site.base, 1)
     assert [F.values for F in Sh.objects()] == [F.values for F in Psh.objects()]
 
 
 def test_sheaf_handle_is_the_full_subcategory_of_sheaves():
     site = fixture_sites(fixture_categories())["two_point_discrete"]
-    Sh = sheaf_category(site, 2)
+    Sh = SheafCategory(site, 2)
     census = PresheafCategory(site.base, 2).objects()
     assert Sh.objects() == [P for P in census if is_sheaf(P, site).ok]
     # the sheaves are cached apart from the presheaf census
@@ -802,7 +802,7 @@ def test_sheaf_handle_is_the_full_subcategory_of_sheaves():
 
 
 def test_sheaf_count_matches_pair_model_bound_two():
-    Sh = sheaf_category(DISC, 2)
+    Sh = SheafCategory(DISC, 2)
     # pairs of sets of size <= 2 whose product also fits the bound,
     # weighted by the bijections realizing the product
     expected = 0
@@ -814,7 +814,7 @@ def test_sheaf_count_matches_pair_model_bound_two():
 
 
 def test_sheaf_products_and_coproducts_follow_the_pair_model():
-    Sh = sheaf_category(DISC, 2)
+    Sh = SheafCategory(DISC, 2)
     A = sheafify(
         make_presheaf(
             DISC.base,
@@ -866,7 +866,7 @@ def test_sheaf_products_and_coproducts_follow_the_pair_model():
 
 
 def test_terminal_and_initial_sheaves():
-    Sh = sheaf_category(DISC, 2)
+    Sh = SheafCategory(DISC, 2)
     empty_diag = HandleDiagram(discrete_category("none", []), {}, {})
     top = Sh.limit(empty_diag)
     assert all(len(v) == 1 for v in top.apex.values.values())
@@ -878,7 +878,7 @@ def test_terminal_and_initial_sheaves():
 
 
 def test_sheaf_limits_stay_sheaves():
-    Sh = sheaf_category(DISC, 2)
+    Sh = SheafCategory(DISC, 2)
     sheaves = Sh.objects()
     F = next(S for S in sheaves if len(S.values["top"]) == 2)
     D = HandleDiagram(

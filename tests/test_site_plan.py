@@ -25,7 +25,6 @@ from toposkit.presheaf import (
 from toposkit.search import backtrack
 from toposkit.site import (
     PlusResult,
-    SheafReport,
     Sieve,
     Site,
     _plus_factor,
@@ -78,15 +77,13 @@ def old_restriction_family(site: Site, S: Sieve, F: Presheaf, x: str):
     return tuple(F.actions[f][x] for f in arrows)
 
 
-def old_is_sheaf(F: Presheaf, site: Site) -> SheafReport:
+def old_is_sheaf(F: Presheaf, site: Site) -> tuple:
     C = site.base
-    checked = 0
     for X in sorted(C.objects):
         mx = maximal_sieve(C, X)
         for S in site.topology[X]:
             if S == mx:
                 continue
-            checked += 1
             families = old_matching_families(site, S, F)
             family_set = set(families)
             if len(family_set) != len(families):
@@ -95,20 +92,20 @@ def old_is_sheaf(F: Presheaf, site: Site) -> SheafReport:
             for x in F.values[X]:
                 fam = old_restriction_family(site, S, F, x)
                 if fam in seen:
-                    return SheafReport(False, {
+                    return False, {
                         "object": X, "sieve": list(S.sorted_arrows()),
                         "kind": "not-separated", "elements": [seen[fam], x],
-                    }, checked)
+                    }
                 if fam not in family_set:
                     raise ConsistencyError("restriction of an element is not matching")
                 seen[fam] = x
             if len(seen) != len(family_set):
                 missing = sorted(family_set - set(seen))[0]
-                return SheafReport(False, {
+                return False, {
                     "object": X, "sieve": list(S.sorted_arrows()),
                     "kind": "no-amalgamation", "family": list(missing),
-                }, checked)
-    return SheafReport(True, None, checked)
+                }
+    return True, None
 
 
 def old_cover_spans(site: Site, fam):
@@ -125,12 +122,10 @@ def old_cover_spans(site: Site, fam):
     return spans
 
 
-def old_is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
+def old_is_sheaf_coverform(F: Presheaf, site: Site) -> tuple:
     C = site.base
-    checked = 0
     for X in sorted(site.covers):
         for fam in site.covers[X]:
-            checked += 1
             by_later = [[] for _ in fam]
             for a, b, g, h in old_cover_spans(site, fam):
                 by_later[b].append((a, g, h))
@@ -147,12 +142,12 @@ def old_is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
                     if all(F.actions[f][x] == tup[i] for i, f in enumerate(fam))
                 ]
                 if len(hits) != 1:
-                    return SheafReport(False, {
+                    return False, {
                         "object": X, "cover": list(fam),
                         "kind": "no-amalgamation" if not hits else "not-unique",
                         "family": list(tup), "amalgamations": hits,
-                    }, checked)
-    return SheafReport(True, None, checked)
+                    }
+    return True, None
 
 
 def old_plus_construction(F: Presheaf, site: Site) -> PlusResult:
@@ -287,10 +282,11 @@ def test_sheaf_checks_and_witnesses_match_the_old_routines(name):
     site = SITES[name]
     failing = 0
     for F in CENSUS[name]:
-        new, old = is_sheaf(F, site), old_is_sheaf(F, site)
-        assert new.to_dict() == old.to_dict()
+        new = is_sheaf(F, site)
+        assert (new.ok, new.witness) == old_is_sheaf(F, site)
         failing += not new.ok
-        assert is_sheaf_coverform(F, site).to_dict() == old_is_sheaf_coverform(F, site).to_dict()
+        cf = is_sheaf_coverform(F, site)
+        assert (cf.ok, cf.witness) == old_is_sheaf_coverform(F, site)
     if name != "arrow_trivial":
         assert failing > 0
 
