@@ -11,6 +11,7 @@ unreadable workspace for a command that needs one).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,14 @@ from .site import (
     sheafify,
     validate_site,
 )
-from .verify import SUITE_IDS, corpus_generate, run_theorem_suite, suite_all
+from .verify import (
+    SUITE_IDS,
+    budget_profile,
+    corpus_generate,
+    flat_knobs,
+    run_theorem_suite,
+    suite_all,
+)
 from .workspace import SCHEMA, Workspace, parse_workspace
 
 _SUITE_CHOICES = list(SUITE_IDS) + ["all"]
@@ -196,13 +204,15 @@ def _cmd_flat(ws: Workspace, args, _perr) -> tuple[dict, bool]:
     flat_votes = []
     if set_valued:
         sw = is_flat_setvalued(p)
-        payload["element_category_cofiltered"] = sw.to_dict()
-        flat_votes.append(sw.flat)
+        payload["element_category_cofiltered"] = {
+            "flat": sw.ok, "violations": [v.law for v in sw.violations]
+        }
+        flat_votes.append(sw.ok)
     else:
         payload["element_category_cofiltered"] = None
         payload["note"] = "element-category route needs finite-set values"
-    bounded = is_flat_bounded(p)
-    payload["exactness_probe"] = bounded.to_dict()
+    bounded = is_flat_bounded(p, **flat_knobs(budget_profile(args.budget)))
+    payload["exactness_probe"] = dataclasses.asdict(bounded)
     flat_votes.append(bounded.verdict == "verified-up-to-budget")
     return payload, not all(flat_votes)
 
@@ -215,7 +225,7 @@ def _cmd_continuous(ws: Workspace, args, _perr) -> tuple[dict, bool]:
             f"functor {args.functor!r} is not based on the site's category"
         )
     rep = is_continuous(p, site)
-    return {"functor": args.functor, "site": args.site, **rep.to_dict()}, not rep.ok
+    return {"functor": args.functor, "site": args.site, **dataclasses.asdict(rep)}, not rep.ok
 
 
 def _cmd_epsilon(ws: Workspace, args, _perr) -> tuple[dict, bool]:
@@ -242,7 +252,7 @@ def _cmd_canonical_topology(ws: Workspace, args, _perr) -> tuple[dict, bool]:
     payload = {
         "category": args.category,
         "covers": {x: [list(f) for f in covers[x]] for x in sorted(covers)},
-        "subcanonical": rep.to_dict(),
+        "subcanonical": dataclasses.asdict(rep),
     }
     return payload, not rep.value
 

@@ -351,14 +351,10 @@ def opposite(C: FinCategory) -> FinCategory:
 
 @dataclass(frozen=True)
 class FinFunctor:
-    name: str
     dom: FinCategory
     cod: FinCategory
     obj_map: Mapping[str, str]
     mor_map: Mapping[str, str]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
 
 
 def validate_functor(F: FinFunctor) -> ValidationReport:
@@ -519,8 +515,6 @@ class ComputationalCategory(ABC):
     separating family); by default that is every enumerated object.
     """
 
-    name: str = "handle"
-
     @abstractmethod
     def objects(self) -> list[Obj]: ...
 
@@ -592,7 +586,6 @@ class FinCatHandle(ComputationalCategory):
 
     def __init__(self, C: FinCategory) -> None:
         self.C = C
-        self.name = C.name
 
     def objects(self) -> list[str]:
         return sorted(self.C.objects)
@@ -622,12 +615,12 @@ class FinCatHandle(ComputationalCategory):
         mor_map = dict(diagram.mors)
         for x in diagram.index.objects:
             mor_map[diagram.index.id_of(x)] = self.C.id_of(diagram.obs[x])
-        return FinFunctor("diagram", diagram.index, self.C, dict(diagram.obs), mor_map)
+        return FinFunctor(diagram.index, self.C, dict(diagram.obs), mor_map)
 
     def limit(self, diagram: HandleDiagram) -> LimitData:
         cone = universal_cone_search(self._diagram_functor(diagram))
         if cone is None:
-            raise FactorizationError(f"{self.name}: diagram has no limit")
+            raise FactorizationError(f"{self.C.name}: diagram has no limit")
         legs = dict(cone.legs)
 
         def factor(apex2: str, legs2: Mapping[str, str]) -> str:
@@ -638,7 +631,7 @@ class FinCatHandle(ComputationalCategory):
             ]
             if len(hits) != 1:
                 raise FactorizationError(
-                    f"{self.name}: expected one mediating morphism, found {len(hits)}"
+                    f"{self.C.name}: expected one mediating morphism, found {len(hits)}"
                 )
             return hits[0]
 

@@ -302,26 +302,12 @@ def extension_limit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
     )
     post = Z.limit(z_diagram)
     apex = tilde_extend(p, pre.apex)
-    legs = {
-        j: tilde_extend_mor(
-            p, PresheafMorphism(pre.apex, diagram.obs[j], pre.legs[j].components)
-        )
-        for j in diagram.obs
-    }
+    legs = {j: tilde_extend_mor(p, pre.legs[j]) for j in diagram.obs}
     return post.factor(apex.obj, legs)
 
 
 # ---------------------------------------------------------------------------
 # flatness
-
-
-@dataclass
-class FlatSetReport:
-    flat: bool
-    report: ValidationReport
-
-    def to_dict(self) -> dict:
-        return {"flat": self.flat, "violations": [v.law for v in self.report.violations]}
 
 
 def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tuple[str, str]]]:
@@ -350,11 +336,10 @@ def _finset_point(obj: Obj) -> str:
     return obj.base.objects[0]
 
 
-def is_flat_setvalued(p: HandleFunctor) -> FlatSetReport:
+def is_flat_setvalued(p: HandleFunctor) -> ValidationReport:
     """Cofilteredness of the element category decides flatness here."""
     gamma, _ = covariant_elements(p)
-    rep = is_cofiltered(gamma)
-    return FlatSetReport(rep.ok, rep)
+    return is_cofiltered(gamma)
 
 
 @dataclass
@@ -364,20 +349,13 @@ class FlatVerdict:
     instances: int
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-            "instances": self.instances,
-            "notes": self.notes,
-        }
 
-
-def _limit_probes(pool: list[Presheaf], max_products: int, max_equalizers: int):
+def _limit_probes(pool: list[Presheaf], max_probes: int):
     """The binary products, then the equalizers, that ``is_flat_bounded``
-    probes, in order: each as (diagram, shape, counterexample key, the two
-    pool members).  The hom set of a pair is searched only when the first
-    equalizer over it is reached.
+    probes, in order, at most ``max_probes`` of each shape: each as
+    (diagram, shape, counterexample key, the two pool members).  The hom
+    set of a pair is searched only when the first equalizer over it is
+    reached.
     """
     pair = discrete_category("pair2", ["1", "2"])
     products = (
@@ -395,21 +373,21 @@ def _limit_probes(pool: list[Presheaf], max_products: int, max_equalizers: int):
         for t2 in ts
     )
     return itertools.chain(
-        itertools.islice(products, max_products), itertools.islice(equalizers, max_equalizers)
+        itertools.islice(products, max_probes), itertools.islice(equalizers, max_probes)
     )
 
 
 def is_flat_bounded(
     p: HandleFunctor,
     *,
-    max_products: int = 12,
-    max_equalizers: int = 12,
+    max_probes: int = 12,
     max_pool: int = 20,
 ) -> FlatVerdict:
     """Exactness of the extension, probed up to an explicit budget.
 
-    Instances are the terminal presheaf, binary products, and equalizers,
-    drawn from the representables followed by the bounded enumeration.
+    Instances are the terminal presheaf, then up to ``max_probes`` binary
+    products and up to ``max_probes`` equalizers, drawn from the
+    representables followed by the bounded enumeration.
     These shapes generate all finite limits.  A non-iso comparison map is
     a definitive counterexample; exhausting the budget is only ever
     "verified-up-to-budget".  When the enumeration has more than
@@ -442,7 +420,7 @@ def is_flat_bounded(
             if len(pool) >= max_pool:
                 break
 
-    for D, shape, key, P, Q in _limit_probes(pool, max_products, max_equalizers):
+    for D, shape, key, P, Q in _limit_probes(pool, max_probes):
         instances += 1
         if not Z.is_iso(extension_limit_comparison(p, D)):
             return FlatVerdict(

@@ -137,7 +137,6 @@ class PresheafMorphism:
     dom: Presheaf
     cod: Presheaf
     components: Mapping[str, Mapping[str, str]]
-    name: str = field(default="", compare=False)
     # PresheafCategory.mor_key, computed on first use
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
@@ -169,9 +168,7 @@ def validate_presheaf_morphism(t: PresheafMorphism) -> ValidationReport:
 
 
 def presheaf_identity(F: Presheaf) -> PresheafMorphism:
-    return PresheafMorphism(
-        F, F, {x: {e: e for e in F.values[x]} for x in F.base.objects}, f"1_{F.name}"
-    )
+    return PresheafMorphism(F, F, {x: {e: e for e in F.values[x]} for x in F.base.objects})
 
 
 def compose_presheaf_morphisms(g: PresheafMorphism, f: PresheafMorphism) -> PresheafMorphism:
@@ -330,7 +327,7 @@ def yoneda_on_mor(C: FinCategory, u: str) -> PresheafMorphism:
     comps = {
         Y: {g: C.compose(u, g) for g in hx.values[Y]} for Y in C.objects
     }
-    t = PresheafMorphism(hx, hy, comps, f"h[{u}]")
+    t = PresheafMorphism(hx, hy, comps)
     C._derived[("repr-mor", u)] = t
     return t
 
@@ -347,7 +344,7 @@ def yoneda_backward(C: FinCategory, X: str, F: Presheaf, elem: str) -> PresheafM
     """
     hx = yoneda_embed(C, X)
     comps = {Y: {g: F.actions[g][elem] for g in hx.values[Y]} for Y in C.objects}
-    return PresheafMorphism(hx, F, comps, f"<{elem}@{X}>")
+    return PresheafMorphism(hx, F, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +406,7 @@ def category_of_elements(F: Presheaf) -> ElementsCategory:
     proj_mor = {f"id_{n}": C.id_of(obj_elem[n][1]) for n in nodes}
     for name, (f, _) in arrow_data.items():
         proj_mor[name] = f
-    projection = FinFunctor(f"proj({F.name or 'F'})", gamma, C, proj_obj, proj_mor)
+    projection = FinFunctor(gamma, C, proj_obj, proj_mor)
     return ElementsCategory(gamma, projection, obj_elem)
 
 
@@ -708,10 +705,9 @@ class PresheafCategory(ComputationalCategory):
     every element is classified by a map out of a representable.
     """
 
-    def __init__(self, base: FinCategory, bound: int = 2, *, name: str = "") -> None:
+    def __init__(self, base: FinCategory, bound: int = 2) -> None:
         self.base = base
         self.bound = bound
-        self.name = name or f"PSh({base.name})<= {bound}".replace(" ", "")
         self._objects: Optional[list[Presheaf]] = None
         # per pair: the maps searched so far, and whether they are the whole set
         self._hom_memo: dict[
@@ -801,7 +797,7 @@ def presheaf_category(C: FinCategory, bound: int = 2) -> PresheafCategory:
 
 
 def finset_category(bound: int = 3) -> PresheafCategory:
-    return PresheafCategory(terminal_category(), bound, name=f"FinSet<={bound}")
+    return PresheafCategory(terminal_category(), bound)
 
 
 def finset_obj(labels: Sequence[str], name: str = "") -> Presheaf:

@@ -365,7 +365,17 @@ def site_plan(site: Site) -> SitePlan:
 # matching families
 
 
-def _families(sp: SievePlan, F: Presheaf) -> list[tuple[str, ...]]:
+def matching_families(sp: SievePlan, F: Presheaf) -> list[tuple[str, ...]]:
+    """All matching families for the compiled sieve sp in F, as value
+    tuples in arrow order.
+
+    A family assigns to each arrow f in the sieve an element of F(src f)
+    such that restricting along any g lands on the assignment of f.g.  One
+    search variable per arrow in sorted order, ranging over F(src f); a
+    restriction is checked at the later of f and f.g, so the families come
+    in the order of filtering the product of the value sets.  Any sieve S
+    of a site compiles through ``site_plan(site).sieve(S)``.
+    """
     acts = F.actions
     by_pos = [[(i, acts[g], j) for i, g, j in cons] for cons in sp.by_pos]
 
@@ -378,24 +388,14 @@ def _families(sp: SievePlan, F: Presheaf) -> list[tuple[str, ...]]:
     return list(backtrack([F.values[Y] for Y in sp.sources], ok))
 
 
-def matching_families(site: Site, S: Sieve, F: Presheaf) -> list[tuple[str, ...]]:
-    """All matching families for S in F, as value tuples in arrow order.
-
-    A family assigns to each arrow f in S an element of F(src f) such that
-    restricting along any g lands on the assignment of f.g.  One search
-    variable per arrow in sorted order, ranging over F(src f); a
-    restriction is checked at the later of f and f.g, so the families come
-    in the order of filtering the product of the value sets.
-    """
-    return _families(site_plan(site).sieve(S), F)
-
-
 # ---------------------------------------------------------------------------
 # sheaf checks
 
 
 @dataclass
-class SheafReport:
+class CheckReport:
+    """Whether a sheaf or strict-epi check holds, and its first failure."""
+
     ok: bool
     witness: Optional[dict]
 
@@ -414,7 +414,7 @@ def _amalgamations(F: Presheaf, X: str, arrows: Sequence[str]) -> dict[tuple[str
     return out
 
 
-def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
+def is_sheaf(F: Presheaf, site: Site) -> CheckReport:
     """Sieve-form sheaf condition over the saturated topology.
 
     The maximal sieve is skipped: it contains the identity, and a matching
@@ -423,14 +423,14 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
     plan = site_plan(site)
     for X in sorted(site.base.objects):
         for sp in plan.covering[X]:
-            families = _families(sp, F)
+            families = matching_families(sp, F)
             family_set = set(families)
             if len(family_set) != len(families):
                 raise ConsistencyError("matching family enumeration repeated a family")
             seen: dict[tuple[str, ...], str] = {}
             for x, fam in zip(F.values[X], _restrictions(F, X, sp.arrows)):
                 if fam in seen:
-                    return SheafReport(
+                    return CheckReport(
                         False,
                         {
                             "object": X,
@@ -444,7 +444,7 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
                 seen[fam] = x
             if len(seen) != len(family_set):
                 missing = sorted(family_set - set(seen))[0]
-                return SheafReport(
+                return CheckReport(
                     False,
                     {
                         "object": X,
@@ -453,10 +453,10 @@ def is_sheaf(F: Presheaf, site: Site) -> SheafReport:
                         "family": list(missing),
                     },
                 )
-    return SheafReport(True, None)
+    return CheckReport(True, None)
 
 
-def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
+def is_sheaf_coverform(F: Presheaf, site: Site) -> CheckReport:
     """Cover-form sheaf condition over the declared covers.
 
     A compatible family picks one element over each cover member, agreeing
@@ -481,7 +481,7 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
             for tup in backtrack([F.values[Y] for Y in cp.sources], ok):
                 hits = amalgamations.get(tup, [])
                 if len(hits) != 1:
-                    return SheafReport(
+                    return CheckReport(
                         False,
                         {
                             "object": X,
@@ -491,7 +491,7 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> SheafReport:
                             "amalgamations": hits,
                         },
                     )
-    return SheafReport(True, None)
+    return CheckReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
     unit_comps: dict[str, dict[str, str]] = {}
     for X in C.objects:
         sp = plan.minimal[X]
-        fams = sorted(_families(sp, F))
+        fams = sorted(matching_families(sp, F))
         restricted = _restrictions(F, X, sp.arrows)
         preimage: dict[tuple[str, ...], str] = {}
         for x, fam in zip(F.values[X], restricted):
@@ -555,7 +555,7 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
             label: enc[tuple([dec[label][i] for i in idx])] for label in values[m.tgt]
         }
     plus = Presheaf(C, values, actions, f"{F.name}+" if F.name else "+")
-    unit = PresheafMorphism(F, plus, unit_comps, "to-plus")
+    unit = PresheafMorphism(F, plus, unit_comps)
     return PlusResult(plus, unit, decode, encode)
 
 
@@ -654,7 +654,7 @@ def epsilon(site: Site, X: str) -> Presheaf:
         sheaf = Presheaf(res.sheaf.base, res.sheaf.values, res.sheaf.actions, f"e_{X}")
         memo[X] = SheafificationResult(
             sheaf,
-            PresheafMorphism(res.unit.dom, sheaf, res.unit.components, res.unit.name),
+            PresheafMorphism(res.unit.dom, sheaf, res.unit.components),
             res.stage1,
             res.stage2,
         )
@@ -662,7 +662,7 @@ def epsilon(site: Site, X: str) -> Presheaf:
 
 
 def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
-    """The sheafification of the representable morphism of f, named ``e[f]``."""
+    """The sheafification of the representable morphism of f."""
     memo = site._cache.setdefault("epsilon_mor", {})
     if f not in memo:
         C = site.base
@@ -670,8 +670,7 @@ def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
         epsilon(site, C.src(f))
         epsilon(site, C.tgt(f))
         rf, rg = site._cache["epsilon"][C.src(f)], site._cache["epsilon"][C.tgt(f)]
-        t = sheafify_morphism(site, rf, rg, yoneda_on_mor(C, f))
-        memo[f] = PresheafMorphism(rf.sheaf, rg.sheaf, t.components, f"e[{f}]")
+        memo[f] = sheafify_morphism(site, rf, rg, yoneda_on_mor(C, f))
     return memo[f]
 
 
@@ -679,18 +678,12 @@ def epsilon_on_mor(site: Site, f: str) -> PresheafMorphism:
 # strict epimorphic families
 
 
-@dataclass
-class StrictEpiReport:
-    ok: bool
-    witness: Optional[dict]
-
-
 def is_strict_epi_family(
     Z: ComputationalCategory,
     family: Sequence[Any],
     *,
     target: Any = None,
-) -> StrictEpiReport:
+) -> CheckReport:
     """Decide whether a family with common target is strictly epimorphic.
 
     For every enumerated object Y and every family of maps out of the
@@ -747,8 +740,8 @@ def is_strict_epi_family(
                     "family": [Z.mor_key(a) for a in assign],
                     "factorings": len(hits),
                 }
-                return StrictEpiReport(False, witness)
-    return StrictEpiReport(True, None)
+                return CheckReport(False, witness)
+    return CheckReport(True, None)
 
 
 @dataclass
@@ -849,13 +842,6 @@ class ContinuityReport:
     failures: list[dict]
     covers_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": self.failures,
-            "covers_checked": self.covers_checked,
-        }
-
 
 def is_continuous(p: HandleFunctor, site: Site) -> ContinuityReport:
     """Does p send every declared cover to a strict epimorphic family?"""
@@ -880,13 +866,6 @@ class SubcanonicalReport:
     value: bool
     covers_strict_epi: list[dict]
     representable_sheaves: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "covers_strict_epi": self.covers_strict_epi,
-            "representable_sheaves": self.representable_sheaves,
-        }
 
 
 def is_subcanonical(site: Site) -> SubcanonicalReport:
@@ -936,8 +915,8 @@ class SheafCategory(PresheafCategory):
     property.
     """
 
-    def __init__(self, site: Site, bound: int = 2, *, name: str = "") -> None:
-        super().__init__(site.base, bound, name=name or f"Sh({site.name})<={bound}")
+    def __init__(self, site: Site, bound: int = 2) -> None:
+        super().__init__(site.base, bound)
         self.site = site
         # apart from the presheaf census, which PresheafCategory caches
         self._sheaves: Optional[list[Presheaf]] = None
@@ -998,11 +977,7 @@ def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> Presh
     post = presheaf_limit(sheaf_diagram, site.base)
     apex_res = sheafify(pre.apex, site)
     legs = {
-        j: compose_presheaf_morphisms(
-            node_res[j].unit,
-            PresheafMorphism(pre.apex, diagram.obs[j], pre.legs[j].components),
-        )
-        for j in diagram.obs
+        j: compose_presheaf_morphisms(node_res[j].unit, pre.legs[j]) for j in diagram.obs
     }
     lifted = {
         j: factor_through_unit(site, apex_res, node_res[j].sheaf, legs[j])

@@ -119,8 +119,7 @@ class Budget:
     z_samples: int = 3
     hom_cap: int = 6
     commute_samples: int = 5
-    flat_products: int = 12
-    flat_equalizers: int = 12
+    flat_probes: int = 12
     flat_pool: int = 20
 
 
@@ -136,8 +135,7 @@ _BUDGETS = {
         z_samples=2,
         hom_cap=4,
         commute_samples=2,
-        flat_products=6,
-        flat_equalizers=6,
+        flat_probes=6,
         flat_pool=10,
     ),
     "default": Budget(name="default"),
@@ -150,8 +148,7 @@ _BUDGETS = {
         z_samples=4,
         hom_cap=8,
         commute_samples=10,
-        flat_products=20,
-        flat_equalizers=20,
+        flat_probes=20,
         flat_pool=30,
     ),
 }
@@ -640,10 +637,6 @@ class SuiteReport:
     witnesses: list[dict]
     budget_notes: list[str]
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "pass"
-
     def to_dict(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -965,10 +958,10 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
     rec.check(len(keys) == 16, lambda: {"detail": "transposition is not injective"})
 
 
-def _flat_knobs(budget: Budget) -> dict:
+def flat_knobs(budget: Budget) -> dict:
+    """The keywords of ``is_flat_bounded`` that a budget profile sets."""
     return {
-        "max_products": budget.flat_products,
-        "max_equalizers": budget.flat_equalizers,
+        "max_probes": budget.flat_probes,
         "max_pool": budget.flat_pool,
     }
 
@@ -979,10 +972,10 @@ def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             continue
         p = fx.functor
         setwise = is_flat_setvalued(p)
-        bounded = is_flat_bounded(p, **_flat_knobs(budget))
+        bounded = is_flat_bounded(p, **flat_knobs(budget))
         if fx.exact is True:
             rec.check(
-                setwise.flat,
+                setwise.ok,
                 lambda: {"fixture": fx.name, "detail": "expected cofiltered elements"},
             )
             rec.check(
@@ -991,14 +984,14 @@ def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             )
         elif fx.exact is False:
             rec.check(
-                not setwise.flat,
+                not setwise.ok,
                 lambda: {"fixture": fx.name, "detail": "expected non-cofiltered elements"},
             )
             rec.check(
                 bounded.verdict == "counterexample",
                 lambda: {"fixture": fx.name, "detail": "expected an exactness counterexample"},
             )
-        if setwise.flat:
+        if setwise.ok:
             rec.check(
                 bounded.verdict == "verified-up-to-budget",
                 lambda: {
@@ -1009,7 +1002,7 @@ def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             )
         if bounded.verdict == "counterexample":
             rec.check(
-                not setwise.flat,
+                not setwise.ok,
                 lambda: {
                     "fixture": fx.name,
                     "detail": "exactness counterexample on cofiltered elements",
@@ -1020,14 +1013,14 @@ def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             if not is_continuous(p, site).ok:
                 continue
             if bounded.verdict == "verified-up-to-budget":
-                data = build_ell(p, site, **_flat_knobs(budget))
+                data = build_ell(p, site, **flat_knobs(budget))
                 rec.check(
                     data.flatness.verdict == "verified-up-to-budget",
                     lambda: {"fixture": fx.name, "detail": "assembled data degraded"},
                 )
             else:
                 try:
-                    build_ell(p, site, **_flat_knobs(budget))
+                    build_ell(p, site, **flat_knobs(budget))
                     rec.check(False, {"fixture": fx.name, "detail": "refusal expected"})
                 except ConstructionRefused:
                     rec.check(True)
@@ -1063,7 +1056,7 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         # flatness the image of a cover can be strictly epimorphic while
         # the sieve-level matching condition still fails (the wedge over
         # the two-point cover is the standing example)
-        if is_flat_setvalued(p).flat:
+        if is_flat_setvalued(p).ok:
             rec.check(
                 cont.ok == all_sheaf,
                 lambda: {
@@ -1078,10 +1071,10 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         if not cont.ok:
             continue
         try:
-            ell = build_ell(p, site, **_flat_knobs(budget))
+            ell = build_ell(p, site, **flat_knobs(budget))
         except ConstructionRefused:
             rec.check(
-                not is_flat_setvalued(p).flat,
+                not is_flat_setvalued(p).ok,
                 lambda: {"fixture": fx.name, "detail": "refused although elements cofiltered"},
             )
             continue
@@ -1148,7 +1141,7 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             continue
         p = fx.functor
         if fx.exact is True and fx.base in FINITELY_COMPLETE_BASES:
-            cof = is_flat_setvalued(p).report
+            cof = is_flat_setvalued(p)
             rec.check(
                 cof.ok,
                 lambda: {
@@ -1156,14 +1149,14 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     "violations": [v.to_dict() for v in cof.violations],
                 },
             )
-            bounded = is_flat_bounded(p, **_flat_knobs(budget))
+            bounded = is_flat_bounded(p, **flat_knobs(budget))
             rec.check(
                 bounded.verdict == "verified-up-to-budget"
                 and bounded.counterexample is None,
                 lambda: {"fixture": fx.name, "counterexample": bounded.counterexample},
             )
         elif fx.exact is False:
-            bounded = is_flat_bounded(p, **_flat_knobs(budget))
+            bounded = is_flat_bounded(p, **flat_knobs(budget))
             rec.check(
                 bounded.verdict == "counterexample"
                 and bounded.counterexample is not None
@@ -1236,7 +1229,7 @@ def negative_controls(corpus: Corpus) -> SuiteReport:
 
     wedge = next(f for f in corpus.functors if f.name == "wedge_diamond")
     rec.check(
-        not is_flat_setvalued(wedge.functor).flat,
+        not is_flat_setvalued(wedge.functor).ok,
         {"control": "no common source over the two points", "detail": "claimed cofiltered"},
     )
     rec.check(

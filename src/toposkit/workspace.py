@@ -104,13 +104,9 @@ class Workspace:
         if name not in self._materialized:
             decl = self.handle_decls[name]
             if decl.kind == "presheaves":
-                self._materialized[name] = PresheafCategory(
-                    self.categories[decl.ref], decl.bound, name=name
-                )
+                self._materialized[name] = PresheafCategory(self.categories[decl.ref], decl.bound)
             else:
-                self._materialized[name] = SheafCategory(
-                    self.sites[decl.ref], decl.bound, name=name
-                )
+                self._materialized[name] = SheafCategory(self.sites[decl.ref], decl.bound)
         return self._materialized[name]
 
     def functor(self, name: str) -> HandleFunctor:

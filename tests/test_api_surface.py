@@ -11,7 +11,7 @@ class counts as read when it is read as an attribute outside its class
 body, in the same places; and a keyword-only parameter of a public
 function or method counts as passed when some call outside its
 definition names it, or a dict literal has it as a string key (as
-``verify._flat_knobs`` does).  A ``k=k`` keyword forwards the caller's
+``verify.flat_knobs`` does).  A ``k=k`` keyword forwards the caller's
 own parameter and passes nothing.  The match is by name, so a member is
 read whenever any object's attribute of that name is: a dead ``to_dict``
 goes unseen while other classes' ``to_dict`` are called.
@@ -32,14 +32,22 @@ KEEP = {
     "print_workspace": "the README documents the parse and print round-trip",
 }
 
-# a report field read only by its own to_dict stays while that to_dict is reached
+# a report field the CLI serializes whole, or that only its own to_dict
+# reads, stays while that report is emitted
 MEMBER_KEEP = {
-    "ContinuityReport.covers_checked": "in the to_dict that toposkit continuous reports",
-    "SubcanonicalReport.covers_strict_epi": "in the to_dict that canonical-topology reports",
-    "SubcanonicalReport.representable_sheaves": "in the to_dict that canonical-topology reports",
+    "ContinuityReport.covers_checked": "serialized by dataclasses.asdict in the CLI (continuous)",
+    "SubcanonicalReport.covers_strict_epi": (
+        "serialized by dataclasses.asdict in the CLI (canonical-topology)"
+    ),
+    "SubcanonicalReport.representable_sheaves": (
+        "serialized by dataclasses.asdict in the CLI (canonical-topology)"
+    ),
     "SuiteReport.inputs": "in the suite report's to_dict: the corpus digest",
     "SuiteReport.budget_notes": "in the suite report's to_dict",
-    "FlatVerdict.instances": "in the to_dict that toposkit flat reports",
+    "FlatVerdict.instances": "serialized by dataclasses.asdict in the CLI (flat)",
+    "SitePlan.sieve": (
+        "compiles an arbitrary sieve for matching_families; the plan's constructor uses it"
+    ),
     "Workspace.canonical": "read by Workspace.__eq__, the parse and print round-trip's equality",
     "UnionFind.find": "the disjoint-set lookup that union and classes are built on",
     "DensityReport.comparison": "the mediating morphism a density verdict is about",

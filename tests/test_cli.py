@@ -15,6 +15,8 @@ import pytest
 import toposkit
 from toposkit.cli import main
 
+CORPUS_WS = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "corpus.ws")
+
 DEMO = """
 category one
   objects *
@@ -220,6 +222,26 @@ def test_flat_rejects_doubled_stalk(arrow_ws, capsys):
     assert payload["result"]["element_category_cofiltered"]["flat"] is False
 
 
+@pytest.mark.parametrize(
+    "budget, instances, pool", [("small", 13, 10), ("default", 20, 20), ("large", 20, 30)]
+)
+def test_flat_probes_with_the_budget_in_effect(budget, instances, pool, capsys):
+    # the diamond's bound-2 census outgrows every profile's pool, so the
+    # probes run over its 4 representables: the terminal, their 10 binary
+    # products and the 9 equalizers their maps allow, or 6 of each shape at
+    # the small budget
+    argv = ["flat", "--input", CORPUS_WS, "const_point", "--budget", budget]
+    code, payload = run_json(argv, capsys)
+    assert code == 0 and payload["budget"] == budget
+    probe = payload["result"]["exactness_probe"]
+    assert probe["verdict"] == "verified-up-to-budget"
+    assert probe["instances"] == instances
+    assert probe["notes"] == [
+        f"presheaf census at value bound 2 has more than {pool} members; "
+        "the pool holds only the 4 representables"
+    ]
+
+
 POINT_NAMED = """
 category arrow
   objects s t
@@ -406,6 +428,47 @@ def test_small_suite_all_report_bytes_are_pinned(seed, capsys):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == SMALL_SUITE_ALL_SHA256[seed]
+
+
+# sha256 of each workspace command's text and JSON report (`--report both`)
+# on fixtures/corpus.ws at the default budget, with its exit status
+CORPUS_COMMAND_SHA256 = {
+    "validate": (0, "49e26f7b097ba14407af06fae668f25ab9bcc027b5e3b44568b81902a36353e1"),
+    "sheafify h_s arrow_trivial": (
+        0, "28d8f08e21c063880c804beb9997488f9b296562d4f70dbbe133b2265cdaaceb"
+    ),
+    "extend doubled_stalk h_s": (
+        0, "0c366839719d6b8da04877e77cbf468f6f01a443b786671b195e94725e066463"
+    ),
+    "adjoint segment_stalk h_s": (
+        0, "aa32cc719e0d4951b75a84e1c04eb8959c39e8f86192027c0eb4c239ba4ca829"
+    ),
+    "flat wedge": (1, "b9bca38f547cf7a042947482b355c83ec518c34dd52a711238578332729eb391"),
+    "flat const_point": (0, "2bf19c3f9402876adb5ec3ee9371548968ae1d22c8b763b8e2816975e2ca5cb1"),
+    "flat segment_stalk": (1, "a93d16f11ed54464591d25984bd7c011b3a9e39edb11e3907ac8d8faa5d5189a"),
+    "continuous wedge two_point_discrete": (
+        0, "ce543217207b5297578ebd8320edc3a907f022075441ead4da4f6e0d017ee160"
+    ),
+    "continuous const_point two_point_discrete": (
+        1, "7a53ec25a1d864b81b3ad1188c32d4d85d933dc3217cb2915cac769496e8f7b7"
+    ),
+    "epsilon two_point_discrete": (
+        0, "11322920e31d5f70c953c70f820d0bb063239421e0e0013b5aa7bf506ec8140c"
+    ),
+    "canonical-topology diamond": (
+        0, "61c4c35da227d64017e136b28127e39bd7d6f04d60484479c746a335ea2c7bf8"
+    ),
+    "canonical-topology chain3": (
+        0, "6bca86ecdf4ceda188a86504f79ee312469981dc1ac4213dfd34de9a6b7df31a"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_COMMAND_SHA256))
+def test_workspace_command_report_bytes_are_pinned(command, capsys):
+    code = main(command.split() + ["--input", CORPUS_WS, "--report", "both"])
+    out = capsys.readouterr().out.encode()
+    assert (code, hashlib.sha256(out).hexdigest()) == CORPUS_COMMAND_SHA256[command]
 
 
 def test_out_writes_both_report_files(demo_ws, tmp_path, capsys):

@@ -67,10 +67,7 @@ def oracle_is_limit(D: FinFunctor, cone: Cone) -> bool:
 def oracle_colimit(D: FinFunctor):
     """Colimit cocone of D as (apex, legs) or None, by the limit search on
     the dual functor built by hand; the reference for the handle's colimit."""
-    dual = FinFunctor(
-        D.name + "^op", opposite(D.dom), opposite(D.cod),
-        dict(D.obj_map), dict(D.mor_map),
-    )
+    dual = FinFunctor(opposite(D.dom), opposite(D.cod), dict(D.obj_map), dict(D.mor_map))
     cone = universal_cone_search(dual)
     if cone is None:
         return None
@@ -200,10 +197,7 @@ def test_opposite_involutive_on_random_posets(pairs):
 
 def test_opposite_swaps_limits_and_colimits():
     C = diamond()
-    D = FinFunctor(
-        "pairdiag", discrete_category("2", ["l", "r"]), C,
-        {"l": "a", "r": "b"}, {},
-    )
+    D = FinFunctor(discrete_category("2", ["l", "r"]), C, {"l": "a", "r": "b"}, {})
     assert universal_cone_search(D).apex == "bot"
     assert FinCatHandle(C).colimit(handle_diagram(D)).apex == "top"
 
@@ -215,7 +209,7 @@ def test_opposite_swaps_limits_and_colimits():
 def test_validate_functor_accepts_monotone_map():
     C2, C3 = chain(2), chain(3)
     F = FinFunctor(
-        "skip", C2, C3,
+        C2, C3,
         {"c0": "c0", "c1": "c2"},
         {"id_c0": "id_c0", "id_c1": "id_c2", "c0.c1": "c0.c2"},
     )
@@ -225,7 +219,7 @@ def test_validate_functor_accepts_monotone_map():
 def test_validate_functor_catches_composition_failure():
     Z, I = z2_group(), walking_idempotent()
     # s |-> e2 breaks F(s.s) = F(id) since e2.e2 = e2 != id_e
-    F = FinFunctor("bad", Z, I, {"*": "e"}, {"id_*": "id_e", "s": "e2"})
+    F = FinFunctor(Z, I, {"*": "e"}, {"id_*": "id_e", "s": "e2"})
     rep = validate_functor(F)
     assert any(v.law == "composition" for v in rep.violations)
 
@@ -250,7 +244,7 @@ def functors_between(j: int, c: int) -> list[FinFunctor]:
             ids = {J.id_of(x): C.id_of(obj_map[x]) for x in objs}
             pools = [C.hom(obj_map[J.src(m)], obj_map[J.tgt(m)]) for m in mors]
             for arrows in itertools.product(*pools):
-                F = FinFunctor(f"F{len(found)}", J, C, obj_map, {**ids, **dict(zip(mors, arrows))})
+                F = FinFunctor(J, C, obj_map, {**ids, **dict(zip(mors, arrows))})
                 if validate_functor(F).ok:
                     found.append(F)
         FUNCTORS[(j, c)] = found
@@ -293,7 +287,7 @@ def test_handle_colimit_matches_the_dual_cocone_search(data):
     got = h.colimit(handle_diagram(D))
     assert (got.apex, got.legs) == want
     # every cocone over D is a cone over the dual functor
-    dual = FinFunctor("dual", opposite(D.dom), opposite(C), D.obj_map, D.mor_map)
+    dual = FinFunctor(opposite(D.dom), opposite(C), D.obj_map, D.mor_map)
     for other in enumerate_cones(dual):
         try:
             expected = oracle_colimit_factor(C, *want, other.apex, other.legs)
@@ -305,10 +299,7 @@ def test_handle_colimit_matches_the_dual_cocone_search(data):
 
 
 def test_meet_is_product_in_poset(diamond_cat):
-    D = FinFunctor(
-        "ab", discrete_category("2", ["l", "r"]), diamond_cat,
-        {"l": "a", "r": "b"}, {},
-    )
+    D = FinFunctor(discrete_category("2", ["l", "r"]), diamond_cat, {"l": "a", "r": "b"}, {})
     cone = universal_cone_search(D)
     assert cone.apex == "bot"
     assert cone.legs == {"l": "bot.a", "r": "bot.b"}
@@ -320,7 +311,7 @@ def test_pullback_in_poset_is_meet(diamond_cat):
 
     J = cospan_category()
     D = FinFunctor(
-        "cospan", J, diamond_cat,
+        J, diamond_cat,
         {"l": "a", "m": "top", "r": "b"},
         {"lm": "a.top", "rm": "b.top"},
     )
@@ -331,20 +322,18 @@ def test_pullback_in_poset_is_meet(diamond_cat):
 
 def test_group_has_no_binary_product():
     Z = z2_group()
-    D = FinFunctor("pp", discrete_category("2", ["l", "r"]), Z, {"l": "*", "r": "*"}, {})
+    D = FinFunctor(discrete_category("2", ["l", "r"]), Z, {"l": "*", "r": "*"}, {})
     assert universal_cone_search(D) is None
 
 
 def test_parallel_pair_has_no_equalizer_in_its_walking_category():
     P = parallel_pair_category()
-    D = FinFunctor(
-        "1_pair", P, P, {x: x for x in P.objects}, {m.name: m.name for m in P.morphisms}
-    )
+    D = FinFunctor(P, P, {x: x for x in P.objects}, {m.name: m.name for m in P.morphisms})
     assert universal_cone_search(D) is None
 
 
 def test_empty_diagram_limit_is_terminal_object(diamond_cat):
-    D = FinFunctor("empty", make_category("0", ()), diamond_cat, {}, {})
+    D = FinFunctor(make_category("0", ()), diamond_cat, {}, {})
     cone = universal_cone_search(D)
     assert cone.apex == "top"
     co = FinCatHandle(diamond_cat).colimit(handle_diagram(D))
@@ -356,10 +345,7 @@ def test_every_returned_cone_passes_raw_universality():
     for C in cats:
         for x in C.objects:
             for y in C.objects:
-                D = FinFunctor(
-                    "d", discrete_category("2", ["l", "r"]), C,
-                    {"l": x, "r": y}, {},
-                )
+                D = FinFunctor(discrete_category("2", ["l", "r"]), C, {"l": x, "r": y}, {})
                 cone = universal_cone_search(D)
                 if cone is not None:
                     assert oracle_is_limit(D, cone)
@@ -374,7 +360,7 @@ def test_cone_search_returns_lexicographically_smallest_apex():
     comp = {("g", "f"): "id_t1", ("f", "g"): "id_t2"}
     C = make_category("twins", ["t1", "t2"], mors, comp)
     assert validate_category(C).ok
-    D = FinFunctor("empty", make_category("0", ()), C, {}, {})
+    D = FinFunctor(make_category("0", ()), C, {}, {})
     assert universal_cone_search(D).apex == "t1"
 
 

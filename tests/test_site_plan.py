@@ -15,6 +15,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toposkit.site as site_module
 from toposkit.errors import ConsistencyError, FactorizationError
 from toposkit.presheaf import (
     Presheaf,
@@ -189,7 +190,7 @@ def old_plus_construction(F: Presheaf, site: Site) -> PlusResult:
         X: {x: encode[X][old_restriction_family(site, site.minimal[X], F, x)] for x in F.values[X]}
         for X in C.objects
     }
-    return PlusResult(plus, PresheafMorphism(F, plus, unit_comps, "to-plus"), decode, encode)
+    return PlusResult(plus, PresheafMorphism(F, plus, unit_comps), decode, encode)
 
 
 def old_plus_on_morphism(site, pf, pg, t):
@@ -261,7 +262,7 @@ def ordered(d):
 def plus_data(pr: PlusResult):
     P = pr.presheaf
     return ordered({
-        "name": P.name, "values": P.values, "actions": P.actions, "unit": pr.unit.name,
+        "name": P.name, "values": P.values, "actions": P.actions,
         "components": pr.unit.components, "decode": pr.decode, "encode": pr.encode,
     })
 
@@ -333,6 +334,26 @@ def test_factoring_refusals_match_the_old_routine(name):
     assert factored > 0
     if name not in ("arrow_trivial", "corrupt"):
         assert refused > 0
+
+
+def test_sheaf_check_and_plus_construction_search_through_matching_families(monkeypatch):
+    # one binding carries every matching-family search, so wrapping it
+    # (as the benchmark's site.matching layer does) sees them all
+    site = SITES["two_point_discrete"]
+    plan = site_plan(site)
+    F = CENSUS["two_point_discrete"][-1]
+    sheaf = sheafify(F, site).sheaf
+    searched = []
+    search = site_module.matching_families
+    monkeypatch.setattr(
+        site_module, "matching_families", lambda sp, G: searched.append(sp) or search(sp, G)
+    )
+    assert is_sheaf(sheaf, site).ok
+    assert searched == [sp for X in sorted(site.base.objects) for sp in plan.covering[X]]
+    assert searched
+    del searched[:]
+    plus_construction(F, site)
+    assert searched == [plan.minimal[X] for X in site.base.objects]
 
 
 # ---------------------------------------------------------------------------
