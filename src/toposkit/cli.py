@@ -57,21 +57,22 @@ def _render_presheaf(F: Presheaf) -> dict:
 
 
 def _text_lines(obj: Any, indent: int = 0) -> list[str]:
+    # tuples are sequences here, as in the JSON report
     pad = "  " * indent
     if isinstance(obj, dict):
         lines = []
         for k in sorted(obj, key=str):
             v = obj[k]
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_text_lines(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {_scalar(v)}")
         return lines
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         lines = []
         for v in obj:
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(v, indent + 1))
             else:
@@ -85,7 +86,7 @@ def _scalar(v: Any) -> str:
         return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (dict, list)):
+    if isinstance(v, (dict, list, tuple)):
         return "{}" if isinstance(v, dict) else "[]"
     return str(v)
 

@@ -652,8 +652,9 @@ class HandleFunctor:
     cod: ComputationalCategory
     obj_map: Mapping[str, Obj]
     mor_map: Mapping[str, Mor]
-    # constructions memoized on this functor (its extension, for one), so
-    # they live exactly as long as the functor does
+    # constructions memoized on this functor: its extension, its right-adjoint
+    # tables and its flatness verdict per pair of probe knobs; a theorem suite
+    # run drops all but the flatness verdicts from its corpus functors on return
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def on_mor(self, m: str) -> Mor:

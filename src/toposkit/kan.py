@@ -4,7 +4,10 @@ A functor p from a finite category into a cocomplete handle Z extends to
 presheaves: the value on H is the colimit of p over the category of
 elements of H, and the value on a presheaf morphism is the mediating map
 between the two colimits.  ``tilde_extend`` and ``tilde_extend_mor`` memoize
-their values on p, per canonical presheaf key and per morphism table.
+their values on p, per canonical presheaf key and per morphism table.  A
+theorem suite run drops these memos, and the right-adjoint tables, from
+its corpus functors when it returns; flatness verdicts are small and stay
+memoized on p, one per pair of probe knobs.
 
 The extension restricted along the representables is naturally isomorphic
 to p itself; the isomorphism components are the colimit legs at the
@@ -12,19 +15,19 @@ identity elements, which are terminal in their element categories.
 
 The right adjoint sends a Z-object to the presheaf of maps out of p, with
 actions by precomposition; its table for each target is built once and
-kept on p.  The adjunction bijection is executable both ways.  Flatness
-is decided two ways: for set-valued functors by cofilteredness of the
-category of elements, and in general by building finite-limit comparison
-maps up to an explicit budget, where only a counterexample is a
-definitive verdict.  The elements of a set-valued functor are read as the
-opposite of the category of elements of its transpose, a presheaf on the
-opposite base.
+kept on p until a suite run drops it.  The adjunction bijection is
+executable both ways.  Flatness is decided two ways: for set-valued
+functors by cofilteredness of the category of elements, and in general
+by building finite-limit comparison maps up to an explicit budget, where
+only a counterexample is a definitive verdict.  The elements of a
+set-valued functor are read as the opposite of the category of elements
+of its transpose, a presheaf on the opposite base.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import (
@@ -94,8 +97,9 @@ def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
     """The extension value on one presheaf, cocone included.
 
     The domain of presheaves is unbounded, so values are computed per
-    input and kept on p, keyed by canonical presheaf key; the contract is
-    the universal property of each colimit.  The category of elements is
+    input and kept on p, keyed by canonical presheaf key, until a theorem
+    suite run over p's corpus drops them on return; the contract is the
+    universal property of each colimit.  The category of elements is
     built to index the colimit's diagram and dropped afterwards, so the
     memo holds neither it nor H.
     """
@@ -182,7 +186,8 @@ class HpValue:
 
 
 def _hp_value(p: HandleFunctor, z: Obj) -> HpValue:
-    """The table for one target, built once and kept on p."""
+    """The table for one target, built once and kept on p until a suite
+    run over p's corpus drops it on return."""
     C = p.dom
     Z = p.cod
     # obj_key names the table and the hom sets depend on content, so
@@ -342,12 +347,14 @@ def is_flat_setvalued(p: HandleFunctor) -> ValidationReport:
     return is_cofiltered(gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatVerdict:
+    """Memoized and shared, so frozen, with the notes as a tuple."""
+
     verdict: str
     counterexample: Optional[dict]
     instances: int
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 def _limit_probes(pool: list[Presheaf], max_probes: int):
@@ -392,11 +399,20 @@ def is_flat_bounded(
     a definitive counterexample; exhausting the budget is only ever
     "verified-up-to-budget".  When the enumeration has more than
     ``max_pool`` members, the pool is the representables alone and a note
-    says so.
+    says so.  The verdict is memoized on p per ``(max_probes, max_pool)``.
     """
+    memo = p._memo.setdefault("flat", {})
+    key = (max_probes, max_pool)
+    if key not in memo:
+        memo[key] = _flat_verdict(p, max_probes, max_pool)
+    return memo[key]
+
+
+def _flat_verdict(p: HandleFunctor, max_probes: int, max_pool: int) -> FlatVerdict:
+    """The probing behind ``is_flat_bounded``, uncached."""
     C = p.dom
     Z = p.cod
-    notes: list[str] = []
+    notes: tuple[str, ...] = ()
     instances = 1
     if not Z.is_iso(extension_terminal_comparison(p)):
         return FlatVerdict(
@@ -410,9 +426,9 @@ def is_flat_bounded(
     try:
         census = enumerate_presheaves(C, FLAT_VALUE_BOUND, max_count=max_pool)
     except ResourceBudgetError:
-        notes.append(
+        notes = (
             f"presheaf census at value bound {FLAT_VALUE_BOUND} has more than {max_pool} "
-            f"members; the pool holds only the {len(pool)} representables"
+            f"members; the pool holds only the {len(pool)} representables",
         )
     else:
         for F in census:

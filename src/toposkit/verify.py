@@ -53,6 +53,7 @@ from .kan import (
 )
 from .presheaf import (
     Presheaf,
+    PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
     constant_presheaf,
@@ -1189,6 +1190,14 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
 def negative_controls(corpus: Corpus) -> SuiteReport:
     """Curated broken inputs; every checker must reject its control."""
     rec = _Recorder("controls", corpus.digest())
+    try:
+        _controls(corpus, rec)
+    finally:
+        _drop_run_memos(corpus)
+    return rec.finish()
+
+
+def _controls(corpus: Corpus, rec: _Recorder) -> None:
     arrow = corpus.categories["arrow"]
     F = yoneda_embed(arrow, "t")
     G = constant_presheaf(arrow, ["g0", "g1"], name="G2")
@@ -1236,7 +1245,21 @@ def negative_controls(corpus: Corpus) -> SuiteReport:
         is_flat_bounded(wedge.functor).verdict == "counterexample",
         {"control": "no common source over the two points", "detail": "no counterexample"},
     )
-    return rec.finish()
+
+
+def _drop_run_memos(corpus: Corpus) -> None:
+    """Drop the extension, right-adjoint and hom memos that a run filled.
+
+    Memory is then bounded by the run in hand, not by the corpus's
+    lifetime.  Flatness verdicts stay memoized on their functors: each is
+    a few hundred bytes, and later suites probe the same functors again.
+    """
+    for fx in corpus.functors:
+        for key in ("extension", "extension_mor", "hp"):
+            fx.functor._memo.pop(key, None)
+    for handle in corpus.handles.values():
+        if isinstance(handle, PresheafCategory):
+            handle._hom_memo.clear()
 
 
 _SUITES = {
@@ -1257,7 +1280,10 @@ def run_theorem_suite(
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
     budget = _resolve_budget(budget)
     rec = _Recorder(theorem, corpus.digest())
-    _SUITES[theorem](corpus, budget, rec)
+    try:
+        _SUITES[theorem](corpus, budget, rec)
+    finally:
+        _drop_run_memos(corpus)
     return rec.finish()
 
 

@@ -668,7 +668,9 @@ def test_flat_probes_match_the_old_loops(monkeypatch, knobs):
     functors += [upset_char(DIAMOND, {"a", "b", "top"}, "wedge"), one_to(PT), one_to(E0)]
     functors.append(upset_char(ARROW, {"s", "t"}, "all_arrow"))
     max_probes, max_pool = knobs
-    for p in functors:
+    # fresh copies with empty memos: other tests warm the shared functors,
+    # and a memoized verdict makes none of the hom reads counted here
+    for p in map(dataclasses.replace, functors):
         del calls[:]
         old = old_flat_probes(p, max_probes, max_probes, max_pool)
         old_reads = len(calls)
@@ -676,6 +678,9 @@ def test_flat_probes_match_the_old_loops(monkeypatch, knobs):
         new = is_flat_bounded(p, max_probes=max_probes, max_pool=max_pool)
         assert (new.verdict, new.counterexample, new.instances) == old
         assert len(calls) == old_reads
+        del calls[:]
+        assert is_flat_bounded(p, max_probes=max_probes, max_pool=max_pool) is new
+        assert calls == []
 
 
 def test_flat_pool_note_says_the_pool_holds_only_the_representables():
@@ -684,15 +689,23 @@ def test_flat_pool_note_says_the_pool_holds_only_the_representables():
     assert len(enumerate_presheaves(ARROW, 2)) == 11
     p = upset_char(ARROW, {"s", "t"}, "all_arrow")
     small = is_flat_bounded(p, max_probes=6, max_pool=10)
-    assert small.notes == [
+    assert small.notes == (
         "presheaf census at value bound 2 has more than 10 members; "
-        "the pool holds only the 2 representables"
-    ]
+        "the pool holds only the 2 representables",
+    )
     # the terminal, the 3 products of h_s and h_t, and the 3 parallel pairs
     # among their 3 maps
     assert (small.verdict, small.instances) == ("verified-up-to-budget", 7)
     fits = is_flat_bounded(p, max_probes=6, max_pool=11)
-    assert fits.notes == [] and fits.instances == 13
+    assert fits.notes == () and fits.instances == 13
+
+
+def test_a_shared_flat_verdict_cannot_be_changed():
+    p = upset_char(ARROW, {"s", "t"}, "all_arrow")
+    verdict = is_flat_bounded(p, max_probes=6, max_pool=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.notes = ()
+    assert isinstance(verdict.notes, tuple)
 
 
 def test_covariant_elements_is_a_category_with_named_nodes():
@@ -776,6 +789,29 @@ def test_covariant_elements_matches_the_direct_construction(data):
     assert sorted(v.witness for v in got_rep.violations) == sorted(
         v.witness for v in want_rep.violations
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_memoized_flat_verdicts_equal_the_uncached_probing(data):
+    """The memo keys verdicts by the knob pair, so any sequence of reads
+    over any knobs returns what fresh probing returns, and a repeated read
+    returns the verdict already held."""
+    k = data.draw(st.integers(0, len(ELEMENT_BASES) - 1), label="base")
+    functors = set_functors(k)
+    p = functors[data.draw(st.integers(0, len(functors) - 1), label="functor")]
+    p = dataclasses.replace(p)
+    seen = {}
+    knob_pairs = st.tuples(st.integers(0, 8), st.integers(1, 12))
+    for knobs in data.draw(st.lists(knob_pairs, min_size=1, max_size=4), label="knobs"):
+        max_probes, max_pool = knobs
+        got = is_flat_bounded(p, max_probes=max_probes, max_pool=max_pool)
+        oracle = kan._flat_verdict(dataclasses.replace(p), max_probes, max_pool)
+        assert got == oracle
+        if knobs in seen:
+            assert got is seen[knobs]
+        seen[knobs] = got
+    assert set(p._memo["flat"]) == set(seen)
 
 
 def test_setvalued_flatness_needs_finite_set_targets():

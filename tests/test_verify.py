@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from toposkit import verify
 from toposkit.errors import ConsistencyError, ResourceBudgetError, StructureError
 from toposkit.fincat import validate_category, validate_handle_functor
 from toposkit.presheaf import short_key, validate_presheaf
@@ -181,6 +182,74 @@ def test_suite_all_byte_identical_across_runs():
     a = json.dumps(suite_all(corpus_generate(3, "small"), "small"), sort_keys=True)
     b = json.dumps(suite_all(corpus_generate(3, "small"), "small"), sort_keys=True)
     assert a == b
+
+
+# -- memo scope --------------------------------------------------------------
+
+
+def _memos_held(corpus):
+    """The extension, right-adjoint and hom memos that hold entries."""
+    held = [
+        (fx.name, key)
+        for fx in corpus.functors
+        for key in ("extension", "extension_mor", "hp")
+        if fx.functor._memo.get(key)
+    ]
+    held += [(name, "hom") for name, Z in sorted(corpus.handles.items()) if Z._hom_memo]
+    return held
+
+
+def _run(theorem, corpus):
+    if theorem == "controls":
+        return negative_controls(corpus)
+    return run_theorem_suite(theorem, corpus, "small")
+
+
+@pytest.mark.parametrize("theorem", SUITE_IDS + ("controls",))
+def test_a_run_drops_its_memos_and_a_rerun_reports_the_same(theorem):
+    corpus = corpus_generate(1, "small")
+    first = _run(theorem, corpus).to_dict()
+    assert _memos_held(corpus) == []
+    assert _run(theorem, corpus).to_dict() == first
+    assert _memos_held(corpus) == []
+
+
+def test_flat_verdicts_outlive_the_run():
+    corpus = corpus_generate(1, "small")
+    run_theorem_suite("V", corpus, "small")
+    flat = [fx.name for fx in corpus.functors if fx.functor._memo.get("flat")]
+    assert "wedge_diamond" in flat and "const_point_diamond" in flat
+
+
+def _raising(real, corpus, seen):
+    """``real``, then a note of the memos held, then an exception."""
+
+    def wrapped(*args, **kwargs):
+        real(*args, **kwargs)
+        seen.extend(_memos_held(corpus))
+        raise RuntimeError("raised mid-run")
+
+    return wrapped
+
+
+def test_a_suite_that_raises_still_drops_its_memos(monkeypatch):
+    corpus = corpus_generate(1, "small")
+    seen = []
+    monkeypatch.setitem(verify._SUITES, "IV", _raising(verify._SUITES["IV"], corpus, seen))
+    with pytest.raises(RuntimeError, match="mid-run"):
+        run_theorem_suite("IV", corpus, "small")
+    # the run had filled every kind of memo when it raised, and none is left
+    assert {key for _, key in seen} == {"extension", "extension_mor", "hp", "hom"}
+    assert _memos_held(corpus) == []
+
+
+def test_controls_that_raise_still_drop_their_memos(monkeypatch):
+    corpus = corpus_generate(1, "small")
+    seen = []
+    monkeypatch.setattr(verify, "is_flat_bounded", _raising(verify.is_flat_bounded, corpus, seen))
+    with pytest.raises(RuntimeError, match="mid-run"):
+        negative_controls(corpus)
+    assert seen and _memos_held(corpus) == []
 
 
 # -- suites catch tampering -------------------------------------------------
