@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to handle gets its own class.
 Algorithms never truncate silently: when an enumeration would exceed its
-budget they raise ResourceBudgetError instead.
+budget they raise ResourceBudgetError instead.  Every class pickles with
+its message and fields, so an error raised on a worker process reaches
+the caller as itself.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ class ResourceBudgetError(ToposkitError):
             "raise the budget explicitly to proceed"
         )
 
+    def __reduce__(self):
+        return type(self), (self.operation, self.requested, self.budget), self.__dict__
+
 
 class FactorizationError(ToposkitError):
     """A mediating morphism that should exist and be unique does not."""
@@ -47,6 +52,9 @@ class ConstructionRefused(ToposkitError):
         self.witness = witness
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.witness), self.__dict__
+
 
 class WorkspaceParseError(ToposkitError):
     """Workspace text is malformed; located by line and entity."""
@@ -56,3 +64,6 @@ class WorkspaceParseError(ToposkitError):
         self.entity = entity
         self.reason = reason
         super().__init__(f"line {line_no}: {entity}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.entity, self.reason), self.__dict__

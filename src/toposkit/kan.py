@@ -347,14 +347,44 @@ def is_flat_setvalued(p: HandleFunctor) -> ValidationReport:
     return is_cofiltered(gamma)
 
 
+def _refuse_edit(self, *args, **kwargs):
+    raise TypeError("flatness verdicts are shared: edit a copy of the counterexample")
+
+
+class _ReadOnlyList(list):
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse_edit
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse_edit
+
+    def __reduce__(self):  # copies and unpickled values are plain lists
+        return list, (list(self),)
+
+
+class _ReadOnlyDict(dict):
+    __setitem__ = __delitem__ = __ior__ = _refuse_edit
+    clear = pop = popitem = setdefault = update = _refuse_edit
+
+    def __reduce__(self):  # copies and unpickled values are plain dicts
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class FlatVerdict:
-    """Memoized and shared, so frozen, with the notes as a tuple."""
+    """Memoized and shared, so frozen, with the notes as a tuple and the
+    counterexample a dict and lists that refuse edits; copies of the
+    counterexample, by ``copy`` or pickle, are plain and editable."""
 
     verdict: str
     counterexample: Optional[dict]
     instances: int
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.counterexample is not None:
+            frozen = _ReadOnlyDict(
+                (k, _ReadOnlyList(v) if isinstance(v, list) else v)
+                for k, v in self.counterexample.items()
+            )
+            object.__setattr__(self, "counterexample", frozen)
 
 
 def _limit_probes(pool: list[Presheaf], max_probes: int):

@@ -20,9 +20,12 @@ for is_continuous and the flatness probes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import random
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
@@ -651,9 +654,7 @@ class SuiteReport:
 
 
 class _Recorder:
-    def __init__(self, theorem: str, digest: str) -> None:
-        self.theorem = theorem
-        self.digest = digest
+    def __init__(self) -> None:
         self.checks = 0
         self.witnesses: list[dict] = []
         self.notes: list[str] = []
@@ -673,14 +674,30 @@ class _Recorder:
         if msg not in self.notes:
             self.notes.append(msg)
 
-    def finish(self) -> SuiteReport:
+    def record(self) -> tuple[int, list[dict], list[str], int]:
+        """What a unit hands back to the runner: plain, picklable values."""
+        return self.checks, self.witnesses, self.notes, self._truncated
+
+    def absorb(self, checks: int, witnesses: list[dict], notes: list[str],
+               truncated: int) -> None:
+        """Append a later unit's record, as if its checks had run here."""
+        for w in witnesses:
+            if len(self.witnesses) < _MAX_WITNESSES:
+                self.witnesses.append({**w, "check": w["check"] + self.checks})
+            else:
+                self._truncated += 1
+        self._truncated += truncated
+        for msg in notes:
+            self.note(msg)
+        self.checks += checks
+
+    def finish(self, theorem: str, digest: str) -> SuiteReport:
         if self._truncated:
             self.note(f"witness list capped at {_MAX_WITNESSES}; {self._truncated} more failures")
         verdict = "pass" if not self.witnesses else "fail"
         if verdict == "pass" and self.checks == 0:
-            raise ConsistencyError(f"suite {self.theorem} passed without running any check")
-        return SuiteReport(self.theorem, self.digest, self.checks, verdict,
-                           self.witnesses, self.notes)
+            raise ConsistencyError(f"suite {theorem} passed without running any check")
+        return SuiteReport(theorem, digest, self.checks, verdict, self.witnesses, self.notes)
 
 
 def _sample(rng: random.Random, pool: Sequence, k: int) -> list:
@@ -710,50 +727,51 @@ def _nats_capped(F: Presheaf, G: Presheaf, cap: int):
 # the suites
 
 
-def _suite_I(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
+def _suite_I(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None:
+    """Suite I on the census of one base category; the suite is one unit
+    per category, in sorted order."""
     bound = budget.exhaustive_bound
     rec.note(f"exhaustive presheaf census at value bound {bound}")
-    for cname in sorted(corpus.categories):
-        C = corpus.categories[cname]
-        reps = {X: yoneda_embed(C, X) for X in C.objects}
-        for F in enumerate_presheaves(C, bound):
-            for X in C.objects:
-                nats = enumerate_presheaf_morphisms(reps[X], F)
+    C = corpus.categories[cname]
+    reps = {X: yoneda_embed(C, X) for X in C.objects}
+    for F in enumerate_presheaves(C, bound):
+        for X in C.objects:
+            nats = enumerate_presheaf_morphisms(reps[X], F)
+            rec.check(
+                len(nats) == len(F.values[X]),
+                lambda: {
+                    "category": cname,
+                    "object": X,
+                    "presheaf": short_key(F),
+                    "nat_count": len(nats),
+                    "value_count": len(F.values[X]),
+                },
+            )
+            for t in nats:
+                e = yoneda_forward(C, X, t)
+                back = yoneda_backward(C, X, F, e)
                 rec.check(
-                    len(nats) == len(F.values[X]),
+                    back.components == t.components,
                     lambda: {
                         "category": cname,
                         "object": X,
                         "presheaf": short_key(F),
-                        "nat_count": len(nats),
-                        "value_count": len(F.values[X]),
+                        "element": e,
+                        "detail": "classify-then-rebuild changed the morphism",
                     },
                 )
-                for t in nats:
-                    e = yoneda_forward(C, X, t)
-                    back = yoneda_backward(C, X, F, e)
-                    rec.check(
-                        back.components == t.components,
-                        lambda: {
-                            "category": cname,
-                            "object": X,
-                            "presheaf": short_key(F),
-                            "element": e,
-                            "detail": "classify-then-rebuild changed the morphism",
-                        },
-                    )
-                for e in F.values[X]:
-                    t = yoneda_backward(C, X, F, e)
-                    rec.check(
-                        yoneda_forward(C, X, t) == e,
-                        lambda: {
-                            "category": cname,
-                            "object": X,
-                            "presheaf": short_key(F),
-                            "element": e,
-                            "detail": "rebuild-then-classify changed the element",
-                        },
-                    )
+            for e in F.values[X]:
+                t = yoneda_backward(C, X, F, e)
+                rec.check(
+                    yoneda_forward(C, X, t) == e,
+                    lambda: {
+                        "category": cname,
+                        "object": X,
+                        "presheaf": short_key(F),
+                        "element": e,
+                        "detail": "rebuild-then-classify changed the element",
+                    },
+                )
 
 
 def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
@@ -1188,13 +1206,11 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
 
 
 def negative_controls(corpus: Corpus) -> SuiteReport:
-    """Curated broken inputs; every checker must reject its control."""
-    rec = _Recorder("controls", corpus.digest())
-    try:
-        _controls(corpus, rec)
-    finally:
-        _drop_run_memos(corpus)
-    return rec.finish()
+    """Curated broken inputs; every checker must reject its control.
+
+    One unit, so it runs in-process and drops its memos when it returns.
+    """
+    return _run(corpus, budget_profile("default"), ("controls",))[0]
 
 
 def _controls(corpus: Corpus, rec: _Recorder) -> None:
@@ -1248,11 +1264,15 @@ def _controls(corpus: Corpus, rec: _Recorder) -> None:
 
 
 def _drop_run_memos(corpus: Corpus) -> None:
-    """Drop the extension, right-adjoint and hom memos that a run filled.
+    """Drop the extension, right-adjoint and hom memos that a unit filled.
 
-    Memory is then bounded by the run in hand, not by the corpus's
-    lifetime.  Flatness verdicts stay memoized on their functors: each is
-    a few hundred bytes, and later suites probe the same functors again.
+    Each unit calls this when it returns, even by an exception, in the
+    process that ran it.  Memory is then bounded by the run in hand, not
+    by the corpus's lifetime.  Flatness verdicts stay memoized on the
+    functors of that process: each is a few hundred bytes, and later
+    suites probe the same functors again.  A unit run on a worker process
+    fills and drops memos there, so it leaves no memo, flatness verdicts
+    included, on the caller's corpus.
     """
     for fx in corpus.functors:
         for key in ("extension", "extension_mor", "hp"):
@@ -1273,29 +1293,137 @@ _SUITES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the runner: units on worker processes, records merged in unit order
+
+# a unit: the suite id ("controls" for the negative controls) and the
+# extra arguments of its body, the category name for suite I
+_Unit = tuple[str, tuple[str, ...]]
+_Record = tuple[int, list[dict], list[str], int]
+
+
+def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> _Record:
+    theorem, args = unit
+    rec = _Recorder()
+    try:
+        if theorem == "controls":
+            _controls(corpus, rec)
+        else:
+            _SUITES[theorem](corpus, budget, rec, *args)
+    finally:
+        _drop_run_memos(corpus)
+    return rec.record()
+
+
+# the corpus and budget of the run, set in each worker when it starts
+_WORKER_RUN: tuple = ()
+# seconds between checks that every worker is still alive
+_WORKER_POLL_S = 0.5
+
+
+def _init_worker(corpus: Corpus, budget: Budget) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = (corpus, budget)
+
+
+def _worker_unit(unit: _Unit) -> _Record:
+    return _run_unit(*_WORKER_RUN, unit)
+
+
+def _worker_count(units: int) -> int:
+    """One worker per CPU the process may run on, and no more than units."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, units)
+
+
+def _map_units(corpus: Corpus, budget: Budget, units: list[_Unit]) -> list[_Record]:
+    """Each unit's record, in unit order.
+
+    Units run on forked workers, which inherit the corpus and the hash
+    seed, so nothing is pickled on the way in and set iteration orders,
+    and with them the records, are those of the caller.  They run
+    in-process instead when there is one worker, when fork is not
+    available, or when the caller has other threads, which a fork can
+    deadlock.  No worker outlives the call, whether it returns or raises;
+    a worker that dies without a result, killed say, raises
+    ChildProcessError rather than leave the call waiting for it.
+    """
+    n = _worker_count(len(units))
+    if n > 1 and threading.active_count() == 1:
+        import multiprocessing  # deferred: the pool is off the import path
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            before = set(multiprocessing.active_children())
+            pool = multiprocessing.get_context("fork").Pool(
+                n, initializer=_init_worker, initargs=(corpus, budget)
+            )
+            workers = [p for p in multiprocessing.active_children() if p not in before]
+            try:
+                results = pool.imap(_worker_unit, units, chunksize=1)
+                records = []
+                while len(records) < len(units):
+                    try:
+                        records.append(results.next(timeout=_WORKER_POLL_S))
+                    except multiprocessing.TimeoutError:
+                        if not all(w.is_alive() for w in workers):
+                            raise ChildProcessError("a suite worker died without a result")
+            except BaseException:
+                pool.terminate()
+                pool.join()
+                raise
+            pool.close()
+            pool.join()
+            return records
+    return list(map(functools.partial(_run_unit, corpus, budget), units))
+
+
+def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteReport]:
+    """The reports of ``theorems``, in order: suite I runs as one unit per
+    category, every other suite and the controls as one unit each.  A
+    suite's records merge in unit order, so its checks, witnesses and
+    notes are those of one serial run."""
+    units = [
+        (t, args)
+        for t in theorems
+        for args in ([(c,) for c in sorted(corpus.categories)] if t == "I" else [()])
+    ]
+    merged = {t: _Recorder() for t in theorems}
+    for (theorem, _), record in zip(units, _map_units(corpus, budget, units)):
+        merged[theorem].absorb(*record)
+    digest = corpus.digest()
+    return [rec.finish(theorem, digest) for theorem, rec in merged.items()]
+
+
 def run_theorem_suite(
     theorem: str, corpus: Corpus, budget: Union[str, Budget] = "default"
 ) -> SuiteReport:
+    """One suite's report.  Suite I runs one unit per category, on worker
+    processes when the process may use more than one CPU; then it fills
+    no memo of ``corpus``.  Every other suite is one unit, run in-process,
+    which drops its extension, right-adjoint and hom memos when it
+    returns and keeps its flatness verdicts memoized on the corpus."""
     if theorem not in _SUITES:
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
-    budget = _resolve_budget(budget)
-    rec = _Recorder(theorem, corpus.digest())
-    try:
-        _SUITES[theorem](corpus, budget, rec)
-    finally:
-        _drop_run_memos(corpus)
-    return rec.finish()
+    return _run(corpus, _resolve_budget(budget), (theorem,))[0]
 
 
 def suite_all(corpus: Corpus, budget: Union[str, Budget] = "default") -> dict:
-    """All seven suites plus the negative controls, in fixed order."""
+    """All seven suites plus the negative controls, in fixed order.
+
+    The units of all eight run together, on worker processes when the
+    process may use more than one CPU.  The report is byte-identical to a
+    serial run's; on the worker path the run leaves no memo on
+    ``corpus``, so flatness verdicts are no longer memoized there.
+    """
     budget = _resolve_budget(budget)
-    reports = [run_theorem_suite(t, corpus, budget).to_dict() for t in SUITE_IDS]
-    reports.append(negative_controls(corpus).to_dict())
+    reports = _run(corpus, budget, SUITE_IDS + ("controls",))
     return {
         "seed": corpus.seed,
         "budget": budget.name,
-        "corpus": corpus.digest(),
-        "verdict": "pass" if all(r["verdict"] == "pass" for r in reports) else "fail",
-        "suites": reports,
+        "corpus": reports[0].inputs,
+        "verdict": "pass" if all(r.verdict == "pass" for r in reports) else "fail",
+        "suites": [r.to_dict() for r in reports],
     }

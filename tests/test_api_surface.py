@@ -42,7 +42,6 @@ MEMBER_KEEP = {
     "SubcanonicalReport.representable_sheaves": (
         "serialized by dataclasses.asdict in the CLI (canonical-topology)"
     ),
-    "SuiteReport.inputs": "in the suite report's to_dict: the corpus digest",
     "SuiteReport.budget_notes": "in the suite report's to_dict",
     "FlatVerdict.instances": "serialized by dataclasses.asdict in the CLI (flat)",
     "SitePlan.sieve": (

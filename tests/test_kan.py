@@ -9,6 +9,7 @@ of its transpose, are checked against a direct construction from the
 functor's tables.
 """
 
+import copy
 import dataclasses
 import gc
 import weakref
@@ -706,6 +707,26 @@ def test_a_shared_flat_verdict_cannot_be_changed():
     with pytest.raises(dataclasses.FrozenInstanceError):
         verdict.notes = ()
     assert isinstance(verdict.notes, tuple)
+
+
+def test_an_edit_to_a_shared_counterexample_reaches_no_later_caller():
+    from toposkit.verify import corpus_generate
+
+    functors = corpus_generate(0, "small").functors
+    wedge = next(fx.functor for fx in functors if fx.name == "wedge_diamond")
+    verdict = is_flat_bounded(wedge)
+    want = {"shape": "binary-product", "factors": ["h_a", "h_b"]}
+    assert verdict.counterexample == want
+    with pytest.raises(TypeError):
+        verdict.counterexample["shape"] = "tampered"
+    with pytest.raises(TypeError):
+        verdict.counterexample["factors"].append("h_top")
+    # a copy is the caller's to edit
+    mine = copy.deepcopy(verdict.counterexample)
+    mine["shape"] = "tampered"
+    mine["factors"].append("h_top")
+    assert is_flat_bounded(wedge) is verdict
+    assert verdict.counterexample == want
 
 
 def test_covariant_elements_is_a_category_with_named_nodes():

@@ -9,11 +9,23 @@ of the individual checkers is covered by the per-module test files.
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from toposkit import verify
-from toposkit.errors import ConsistencyError, ResourceBudgetError, StructureError
+from toposkit.errors import (
+    ConsistencyError,
+    ConstructionRefused,
+    ResourceBudgetError,
+    StructureError,
+    WorkspaceParseError,
+)
 from toposkit.fincat import validate_category, validate_handle_functor
 from toposkit.presheaf import short_key, validate_presheaf
 from toposkit.site import validate_site
@@ -250,6 +262,147 @@ def test_controls_that_raise_still_drop_their_memos(monkeypatch):
     with pytest.raises(RuntimeError, match="mid-run"):
         negative_controls(corpus)
     assert seen and _memos_held(corpus) == []
+
+
+# -- the runner: units on worker processes --------------------------------
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ResourceBudgetError("enumerate_presheaves", 7, 3),
+        ConstructionRefused("refused", {"shape": "terminal", "factors": ["h_a"]}),
+        WorkspaceParseError(4, "category c", "unknown object"),
+    ],
+)
+def test_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error)
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(verify, "_worker_count", lambda units: min(n, units))
+
+
+def _plant_suite_I_failures(monkeypatch, corpus, names):
+    """yoneda_backward rebuilds from the next element on the named bases."""
+    planted = {id(corpus.categories[n]) for n in names}
+    real = verify.yoneda_backward
+
+    def wrong(C, X, F, e):
+        if id(C) in planted:
+            vals = F.values[X]
+            e = vals[(vals.index(e) + 1) % len(vals)]
+        return real(C, X, F, e)
+
+    monkeypatch.setattr(verify, "yoneda_backward", wrong)
+
+
+def test_suite_I_merges_its_units_as_one_serial_run(monkeypatch):
+    corpus = corpus_generate(0, "small")
+    budget = budget_profile("small")
+    # one base with a few failures, one past the witness cap on its own,
+    # and one whose failures all land after the cap
+    _plant_suite_I_failures(monkeypatch, corpus, ("one", "parallel", "z2"))
+    serial = verify._Recorder()
+    for cname in sorted(corpus.categories):
+        verify._suite_I(corpus, budget, serial, cname)
+    want = serial.finish("I", corpus.digest()).to_dict()
+    assert {w["category"] for w in want["witnesses"]} == {"one", "parallel"}
+    assert len(want["witnesses"]) == 25
+    assert want["budget_notes"][-1] == "witness list capped at 25; 139 more failures"
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        assert run_theorem_suite("I", corpus, budget).to_dict() == want
+        assert multiprocessing.active_children() == []
+
+
+def test_suite_all_reports_the_same_on_workers_and_leaves_none(monkeypatch):
+    reports = []
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        corpus = corpus_generate(2, "small")
+        reports.append(json.dumps(suite_all(corpus, "small")))
+        assert multiprocessing.active_children() == []
+        # flatness verdicts stay memoized where suite V ran: on the
+        # caller's corpus in-process, on the workers otherwise
+        assert any(fx.functor._memo.get("flat") for fx in corpus.functors) == (n == 1)
+    assert reports[0] == reports[1]
+
+
+def test_a_budget_refusal_on_a_worker_reaches_the_caller(monkeypatch):
+    _workers(monkeypatch, 2)
+    real = verify.enumerate_presheaves
+
+    def refusing(C, bound, **kwargs):
+        if C.name == "diamond":
+            raise ResourceBudgetError(f"census in {os.getpid()}", 7, 3)
+        return real(C, bound, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_presheaves", refusing)
+    with pytest.raises(ResourceBudgetError) as info:
+        suite_all(corpus_generate(0, "small"), "small")
+    # raised on a worker, with its fields intact
+    assert info.value.operation.startswith("census in ")
+    assert info.value.operation != f"census in {os.getpid()}"
+    assert (info.value.requested, info.value.budget) == (7, 3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
+    _workers(monkeypatch, 2)
+    real = verify.enumerate_presheaves
+    parent = os.getpid()
+
+    def dying(C, bound, **kwargs):
+        if C.name == "diamond" and os.getpid() != parent:
+            os._exit(3)
+        return real(C, bound, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_presheaves", dying)
+    with pytest.raises(ChildProcessError):
+        run_theorem_suite("I", corpus_generate(0, "small"), "small")
+    assert multiprocessing.active_children() == []
+
+
+def test_the_cli_imports_no_multiprocessing():
+    # the pool is imported on its first use, so the CLI's start-up stays lean
+    code = "import sys, toposkit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def _census_pids(monkeypatch):
+    pids = []
+    real = verify.enumerate_presheaves
+    monkeypatch.setattr(
+        verify, "enumerate_presheaves", lambda *a, **k: pids.append(os.getpid()) or real(*a, **k)
+    )
+    return pids
+
+
+def test_one_unit_and_threaded_callers_run_in_process(monkeypatch):
+    _workers(monkeypatch, 2)
+    pids = _census_pids(monkeypatch)
+    run_theorem_suite("II", CORPUS, "small")
+    assert pids and set(pids) == {os.getpid()}
+    del pids[:]
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        run_theorem_suite("I", CORPUS, "small")
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert len(pids) == len(CORPUS.categories) and set(pids) == {os.getpid()}
+    # with the thread gone, suite I's census runs on the workers
+    del pids[:]
+    run_theorem_suite("I", CORPUS, "small")
+    assert pids == []
 
 
 # -- suites catch tampering -------------------------------------------------
