@@ -184,11 +184,14 @@ def make_category(
         if s not in objects or t not in objects:
             raise StructureError(f"{name}: morphism {mname!r} has unknown endpoint")
         mors.append(Morphism(mname, s, t))
+    # the arrows into each object, in declaration order: g composes with
+    # exactly those into its source
+    into: dict[str, list[Morphism]] = {}
+    for f in mors:
+        into.setdefault(f.tgt, []).append(f)
     table: dict[tuple[str, str], str] = {}
     for g in mors:
-        for f in mors:
-            if g.src != f.tgt:
-                continue
+        for f in into.get(g.src, ()):
             key = (g.name, f.name)
             if f.name == idmap[f.src]:
                 table[key] = g.name

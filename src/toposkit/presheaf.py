@@ -383,18 +383,20 @@ def category_of_elements(F: Presheaf) -> ElementsCategory:
             obj_elem[n] = (e, X)
     arrows: list[tuple[str, str, str]] = []
     arrow_data: dict[str, tuple[str, str]] = {}
+    # the element arrows into each (object, element) pair, in arrow order
+    into: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for f in C.non_identities():
         X, Y = C.src(f), C.tgt(f)
         for y in F.values[Y]:
             name = f"{f}|{y}"
             arrows.append((name, element_node(F.actions[f][y], X), element_node(y, Y)))
             arrow_data[name] = (f, y)
+            into.setdefault((Y, y), []).append((name, f))
     compose: dict[tuple[str, str], str] = {}
     for gname, (g, y2) in arrow_data.items():
-        for fname, (f, y1) in arrow_data.items():
-            # g-arrow after f-arrow: target pair of f-arrow is source pair of g-arrow
-            if C.src(g) != C.tgt(f) or F.actions[g][y2] != y1:
-                continue
+        # g-arrow after f-arrow: target pair of f-arrow is source pair of g-arrow
+        y1 = F.actions[g][y2]
+        for fname, f in into.get((C.src(g), y1), ()):
             c = C.compose(g, f)
             if C.is_identity(c):
                 src_node = element_node(F.actions[f][y1], C.src(f))

@@ -17,7 +17,9 @@ Sheafification is the plus construction applied exactly twice.  Because a
 finite topology is closed under intersection of covering sieves, every
 object has a minimal covering sieve and matching-family classes are
 canonically labeled by their restriction to it; a naive common-refinement
-comparison is kept in the test suite as an oracle.
+comparison is kept in the test suite as an oracle.  An object covered only
+by its maximal sieve h_X needs no family search: Match(h_X, F) = F(X) by
+Yoneda, so the plus construction passes F through unchanged there.
 
 Both sheaf checks and the plus construction read a ``SitePlan`` instead
 of re-deriving the site on every call: the minimal and the covering
@@ -506,8 +508,10 @@ class PlusResult:
     A class hit by the canonical map keeps the label of its first
     preimage, so sheaf inputs (and any input over a trivial topology)
     reproduce their own labels; unhit classes get fresh p0, p1, ...
+    Where the minimal sieve is the maximal one, every class is hit exactly
+    once (Match(h_X, F) = F(X) by Yoneda), so F(X) passes through unchanged.
     ``decode`` recovers the family tuple behind a label, ``encode``
-    inverts it.
+    inverts it; both list the classes in sorted-family order.
     """
 
     presheaf: Presheaf
@@ -517,16 +521,35 @@ class PlusResult:
 
 
 def plus_construction(F: Presheaf, site: Site) -> PlusResult:
+    """One plus step: classes of matching families over minimal sieves.
+
+    At an object X whose minimal covering sieve holds id_X, that sieve is
+    the maximal one, h_X, and Match(h_X, F) = F(X) by Yoneda: every
+    matching family is the restriction family of exactly one element.  So
+    there F passes through unchanged, with no family search: the values
+    are F(X) sorted, the unit is the identity, and decode and encode pair
+    each element with its restriction family in sorted-family order, as
+    the search would.  An arrow between two such objects keeps F's action.
+    """
     plan = site_plan(site)
     C = site.base
     values: dict[str, tuple[str, ...]] = {}
     decode: dict[str, dict[str, tuple[str, ...]]] = {}
     encode: dict[str, dict[tuple[str, ...], str]] = {}
     unit_comps: dict[str, dict[str, str]] = {}
+    through: set[str] = set()
     for X in C.objects:
         sp = plan.minimal[X]
-        fams = sorted(matching_families(sp, F))
         restricted = _restrictions(F, X, sp.arrows)
+        if C.id_of(X) in sp.arrows:
+            through.add(X)
+            pairs = sorted(zip(restricted, F.values[X]))
+            values[X] = tuple(sorted(F.values[X]))
+            decode[X] = {x: fam for fam, x in pairs}
+            encode[X] = dict(pairs)
+            unit_comps[X] = {x: x for x in F.values[X]}
+            continue
+        fams = sorted(matching_families(sp, F))
         preimage: dict[tuple[str, ...], str] = {}
         for x, fam in zip(F.values[X], restricted):
             preimage.setdefault(fam, x)
@@ -547,6 +570,10 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
         unit_comps[X] = {x: enc[fam] for x, fam in zip(F.values[X], restricted)}
     actions: dict[str, dict[str, str]] = {}
     for m in C.morphisms:
+        if m.src in through and m.tgt in through:
+            act = F.actions[m.name]
+            actions[m.name] = {x: act[x] for x in values[m.tgt]}
+            continue
         # restrict along m: m.g for g in the minimal sieve on the source
         # sits in the minimal sieve on the target, at the indexed position
         idx = plan.restrict[m.name]

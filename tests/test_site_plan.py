@@ -351,9 +351,20 @@ def test_sheaf_check_and_plus_construction_search_through_matching_families(monk
     assert is_sheaf(sheaf, site).ok
     assert searched == [sp for X in sorted(site.base.objects) for sp in plan.covering[X]]
     assert searched
+    # the plus construction searches only the minimal sieves that lack the
+    # identity; at the other objects F passes through by Yoneda
     del searched[:]
     plus_construction(F, site)
-    assert searched == [plan.minimal[X] for X in site.base.objects]
+    C = site.base
+    assert searched == [
+        plan.minimal[X] for X in C.objects if C.id_of(X) not in plan.minimal[X].arrows
+    ]
+    assert [sp.arrows for sp in searched] == [(), ("a.top", "b.top", "bot.top")]
+    # over a trivial topology every minimal sieve is maximal: no search at all
+    del searched[:]
+    for G in CENSUS["arrow_trivial"]:
+        plus_construction(G, SITES["arrow_trivial"])
+    assert searched == []
 
 
 # ---------------------------------------------------------------------------
