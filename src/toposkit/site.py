@@ -530,6 +530,8 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
     are F(X) sorted, the unit is the identity, and decode and encode pair
     each element with its restriction family in sorted-family order, as
     the search would.  An arrow between two such objects keeps F's action.
+    This rests on F satisfying the functor laws, which ``validate_presheaf``
+    checks; on a table that breaks them the two routes may differ.
     """
     plan = site_plan(site)
     C = site.base

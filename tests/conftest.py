@@ -1,11 +1,13 @@
 """Shared fixture categories, built by hand so tests stay independent
-of the corpus generator they are meant to check."""
+of the corpus generator they are meant to check, and the helpers that
+compare tables with their dict orders."""
 
 from __future__ import annotations
 
 import pytest
 
 from toposkit.fincat import FinCategory, make_category, poset_category
+from toposkit.presheaf import Presheaf
 
 
 def diamond() -> FinCategory:
@@ -41,3 +43,18 @@ def parallel_arrows() -> FinCategory:
 @pytest.fixture
 def diamond_cat() -> FinCategory:
     return diamond()
+
+
+def ordered(d):
+    """Nested dicts as item lists, so that key order is compared too."""
+    return [(k, ordered(v)) for k, v in d.items()] if isinstance(d, dict) else d
+
+
+def reversed_tables(F: Presheaf) -> Presheaf:
+    """F with every value tuple and action dict in reverse order."""
+    return Presheaf(
+        F.base,
+        {X: vs[::-1] for X, vs in F.values.items()},
+        {m: dict(reversed(act.items())) for m, act in F.actions.items()},
+        "R",
+    )

@@ -21,7 +21,7 @@ from toposkit.presheaf import (
 )
 from toposkit.verify import fixture_categories
 
-from conftest import parallel_arrows, walking_idempotent
+from conftest import parallel_arrows, reversed_tables, walking_idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +116,6 @@ def non_identity_data(C: FinCategory):
         if not (C.is_identity(g) or C.is_identity(f))
     }
     return mors, compose
-
-
-def reversed_tables(F: Presheaf) -> Presheaf:
-    """F with every value tuple and action dict in reverse order."""
-    return Presheaf(
-        F.base,
-        {X: vs[::-1] for X, vs in F.values.items()},
-        {m: dict(reversed(act.items())) for m, act in F.actions.items()},
-        "R",
-    )
 
 
 @settings(max_examples=120, deadline=None)

@@ -34,8 +34,16 @@ from toposkit.site import (
 )
 from toposkit.verify import fixture_categories, fixture_sites
 
-from conftest import diamond, parallel_arrows, walking_idempotent, z2_group
+from conftest import (
+    diamond,
+    ordered,
+    parallel_arrows,
+    reversed_tables,
+    walking_idempotent,
+    z2_group,
+)
 from test_site import trivial_site
+from test_site_plan import plus_data
 
 
 # ---------------------------------------------------------------------------
@@ -123,29 +131,6 @@ def test_the_pass_through_objects_of_each_site():
     assert passing_through(CORPUS["two_point_discrete"]) == ["a", "b"]
     assert passing_through(SITES["trivial_diamond"]) == sorted(diamond().objects)
     assert passing_through(MIXED) == ["c0", "c1", "c3"]
-
-
-def reversed_tables(F: Presheaf) -> Presheaf:
-    """F with every value tuple and action dict in reverse order."""
-    return Presheaf(
-        F.base,
-        {X: vs[::-1] for X, vs in F.values.items()},
-        {m: dict(reversed(act.items())) for m, act in F.actions.items()},
-        "R",
-    )
-
-
-def ordered(d):
-    """Nested dicts as item lists, so that key order is compared too."""
-    return [(k, ordered(v)) for k, v in d.items()] if isinstance(d, dict) else d
-
-
-def plus_data(pr: PlusResult):
-    P = pr.presheaf
-    return ordered({
-        "name": P.name, "values": P.values, "actions": P.actions,
-        "components": pr.unit.components, "decode": pr.decode, "encode": pr.encode,
-    })
 
 
 def sheafify_data(res: SheafificationResult):

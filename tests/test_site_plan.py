@@ -40,7 +40,7 @@ from toposkit.site import (
 )
 from toposkit.verify import fixture_categories, fixture_sites
 
-from conftest import diamond, parallel_arrows, walking_idempotent
+from conftest import diamond, ordered, parallel_arrows, walking_idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +252,6 @@ SITES["parallel_u"] = generate_topology(parallel_arrows(), {"y": [["u"]]}, name=
 SITES["idempotent"] = generate_topology(walking_idempotent(), {"e": [["e2"]]}, name="idempotent")
 BOUND = {"idempotent": 3}
 CENSUS = {name: enumerate_presheaves(s.base, BOUND.get(name, 2)) for name, s in SITES.items()}
-
-
-def ordered(d):
-    """Nested dicts as item lists, so that key order is compared too."""
-    return [(k, ordered(v)) for k, v in d.items()] if isinstance(d, dict) else d
 
 
 def plus_data(pr: PlusResult):
