@@ -679,9 +679,11 @@ def validate_handle_functor(p: HandleFunctor) -> ValidationReport:
         return rep
     for m in p.dom.non_identities():
         pm = p.mor_map[m]
-        if Z.obj_key(Z.source(pm)) != Z.obj_key(p.obj_map[p.dom.src(m)]):
+        # a presheaf's key is its name, which presheaves that differ may share
+        src, tgt = p.obj_map[p.dom.src(m)], p.obj_map[p.dom.tgt(m)]
+        if Z.obj_key(Z.source(pm)) != Z.obj_key(src) or Z.source(pm) != src:
             rep.add("endpoints", (m,), f"value of {m} has wrong source")
-        if Z.obj_key(Z.target(pm)) != Z.obj_key(p.obj_map[p.dom.tgt(m)]):
+        if Z.obj_key(Z.target(pm)) != Z.obj_key(tgt) or Z.target(pm) != tgt:
             rep.add("endpoints", (m,), f"value of {m} has wrong target")
     if not rep.ok:
         return rep

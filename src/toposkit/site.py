@@ -727,7 +727,8 @@ def is_strict_epi_family(
     if family:
         target = Z.target(family[0])
         for m in family[1:]:
-            if Z.obj_key(Z.target(m)) != Z.obj_key(target):
+            # by content too: a presheaf's key is its name, which may be shared
+            if Z.obj_key(Z.target(m)) != Z.obj_key(target) or Z.target(m) != target:
                 raise StructureError("is_strict_epi_family: mixed targets")
     elif target is None:
         raise StructureError("is_strict_epi_family: empty family needs an explicit target")

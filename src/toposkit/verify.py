@@ -266,10 +266,14 @@ def random_presheaf(
 ) -> Presheaf:
     """A uniformly drawn functorial table, by rejection.
 
-    Actions are sampled on the indecomposable morphisms only; composites
-    are derived, and a draw is rejected when two factorizations clash or
-    an identity composite is not the identity.  Rejection keeps the
-    sampler honest: no bias toward any particular completion.
+    Actions are sampled on the indecomposable morphisms only.  Each
+    composite takes the action of the first pair of known actions that
+    composes to it, and ``validate_presheaf`` rejects a draw that breaks a
+    functor law: two factorizations that disagree, or an identity composite
+    whose action is not the identity.  Rejection keeps the sampler honest:
+    no bias toward any particular completion.  On a category whose
+    indecomposables do not generate it, the first draw that reaches the
+    derivation raises ``StructureError``.
     """
     gens = _indecomposables(C)
     non_ids = sorted(C.non_identities())
@@ -277,18 +281,16 @@ def random_presheaf(
     for _ in range(RANDOM_PRESHEAF_ATTEMPTS):
         values = {X: tuple(f"x{i}" for i in range(rng.randint(0, bound))) for X in objs}
         actions: dict[str, dict[str, str]] = {}
-        ok = True
         for m in gens:
             dom = values[C.tgt(m)]
             cod = values[C.src(m)]
             if dom and not cod:
-                ok = False
                 break
             actions[m] = {e: rng.choice(cod) for e in dom}
-        if not ok:
+        if len(actions) < len(gens):  # a generator had nowhere to send a section
             continue
         changed = True
-        while changed and ok:
+        while changed:
             changed = False
             for g in non_ids:
                 if g not in actions:
@@ -297,22 +299,9 @@ def random_presheaf(
                     if f not in actions or C.src(g) != C.tgt(f):
                         continue
                     gf = C.compose(g, f)
-                    comp = {e: actions[f][actions[g][e]] for e in values[C.tgt(g)]}
-                    if C.is_identity(gf):
-                        if any(v != e for e, v in comp.items()):
-                            ok = False
-                    elif gf in actions:
-                        if actions[gf] != comp:
-                            ok = False
-                    else:
-                        actions[gf] = comp
+                    if gf not in actions and not C.is_identity(gf):
+                        actions[gf] = {e: actions[f][actions[g][e]] for e in values[C.tgt(g)]}
                         changed = True
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
         if set(actions) != set(non_ids):
             raise StructureError(f"{C.name}: indecomposables do not generate")
         F = make_presheaf(C, values, actions, name=name)

@@ -40,6 +40,12 @@ everything until the next block:
     config
       seed = 0
 
+A name is declared once across all kinds: a site may not share its name
+with a category, nor a functor with a handle.  A block may refer to one
+declared later in the file, since the declarations are resolved kind by
+kind (categories, presheaves, sites, handles, functors), each kind in
+file order.
+
 Parsing collects every located error (line, entity, reason) before
 raising the first one; the full list rides on the exception's ``errors``
 attribute.  Printing a parsed workspace and re-parsing it yields an
@@ -64,7 +70,6 @@ from .presheaf import (
 from .site import SheafCategory, Site, generate_topology, validate_site
 
 _NAME = re.compile(r"^[A-Za-z0-9_.*|'+()-]+$")
-_BLOCK_KEYWORDS = {"category", "presheaf", "site", "handle", "functor", "config"}
 _MAX_HANDLE_BOUND = 3
 SCHEMA = "toposkit-report/1"
 
@@ -214,16 +219,43 @@ def _materialize_functor(ws: Workspace, decl: FunctorDecl) -> HandleFunctor:
 # parsing
 
 
+def _fits(tokens: list[str], shape: str) -> bool:
+    """Whether a line's tokens have ``shape``: ``_`` stands for any one
+    token, ``a|b`` for either word, any other word for itself, and a final
+    ``...`` for any number of further tokens."""
+    words = shape.split()
+    if words[-1] == "...":
+        words.pop()
+        tokens = tokens[: len(words)]
+    return len(tokens) == len(words) and all(
+        w == "_" or t in w.split("|") for w, t in zip(words, tokens)
+    )
+
+
+# block keyword -> (header shape, the error when a header has another shape,
+# section names); the header's tokens 3, 5, ... are the names it refers to
+_HEADERS = {
+    "category": ("category _ ...", "", ("morphisms", "compose")),
+    "presheaf": (
+        "presheaf _ on _", "expected: presheaf <name> on <category>", ("values", "actions")
+    ),
+    "site": ("site _ on _", "expected: site <name> on <category>", ("covers",)),
+    "functor": (
+        "functor _ from _ into _",
+        "expected: functor <name> from <category> into <handle>",
+        ("objects", "maps"),
+    ),
+}
+_BLOCK_KEYWORDS = {*_HEADERS, "handle", "config"}
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.errors: list[WorkspaceParseError] = []
         self.lines = text.splitlines()
-        # raw declarations, resolved after the whole file is read
-        self.cat_decls: dict[str, dict] = {}
-        self.psh_decls: dict[str, dict] = {}
-        self.site_decls: dict[str, dict] = {}
-        self.handle_decls: dict[str, tuple[int, HandleDecl]] = {}
-        self.fun_decls: dict[str, dict] = {}
+        # every declared name, of any kind, to its raw declaration; resolved
+        # after the whole file is read
+        self.decls: dict[str, dict] = {}
         self.config: dict[str, str] = {}
         self.config_line: Optional[int] = None
 
@@ -233,7 +265,7 @@ class _Parser:
     # -- pass 1: lines into declarations ------------------------------------
 
     def scan(self) -> None:
-        block: Optional[tuple] = None  # (kind, name, decl dict)
+        block: Optional[tuple] = None  # (name, decl dict), decl None in config
         section: Optional[str] = None
         for i, raw in enumerate(self.lines, start=1):
             stripped = raw.strip()
@@ -248,27 +280,24 @@ class _Parser:
             if block is None:
                 self.err(i, "workspace", f"content before any block: {stripped!r}")
                 continue
-            kind, name, decl = block
-            if kind == "config":
+            name, decl = block
+            if decl is None:
                 self._config_line(i, tokens)
-                continue
-            if len(tokens) == 1 and tokens[0] in decl["sections"]:
-                section = tokens[0]
-                continue
-            if kind == "category" and head == "objects":
+            elif len(tokens) == 1 and head in decl["sections"]:
+                section = head
+            elif decl["kind"] == "category" and head == "objects":
                 self._names(i, name, tokens[1:], decl["objects"])
-                continue
-            if section is None:
+            elif section is None:
                 self.err(i, name, f"line outside any section: {stripped!r}")
-                continue
-            decl["sections"][section].append((i, tokens))
+            else:
+                decl["sections"][section].append((i, tokens))
 
     def _open_block(self, i: int, head: str, tokens: list[str]) -> Optional[tuple]:
         if head == "config":
             if self.config_line is not None:
                 self.err(i, "config", "duplicate config block")
             self.config_line = i
-            return ("config", "config", {})
+            return ("config", None)
         if head == "handle":
             self._handle_line(i, tokens)
             return None
@@ -276,56 +305,24 @@ class _Parser:
             self.err(i, head, "block needs a name")
             return None
         name = tokens[1]
-        if head == "category":
-            if not self._claim(i, name):
-                return None
-            decl = {"line": i, "objects": [], "sections": {"morphisms": [], "compose": []}}
-            self.cat_decls[name] = decl
-            return ("category", name, decl)
-        if head == "presheaf":
-            if tokens[2:3] != ["on"] or len(tokens) != 4:
-                self.err(i, name, "expected: presheaf <name> on <category>")
-                return None
-            if not self._claim(i, name):
-                return None
-            decl = {"line": i, "base": tokens[3], "sections": {"values": [], "actions": []}}
-            self.psh_decls[name] = decl
-            return ("presheaf", name, decl)
-        if head == "site":
-            if tokens[2:3] != ["on"] or len(tokens) != 4:
-                self.err(i, name, "expected: site <name> on <category>")
-                return None
-            if not self._claim(i, name):
-                return None
-            decl = {"line": i, "base": tokens[3], "sections": {"covers": []}}
-            self.site_decls[name] = decl
-            return ("site", name, decl)
-        if head == "functor":
-            if len(tokens) != 6 or tokens[2] != "from" or tokens[4] != "into":
-                self.err(i, name, "expected: functor <name> from <category> into <handle>")
-                return None
-            if not self._claim(i, name):
-                return None
-            decl = {
-                "line": i,
-                "base": tokens[3],
-                "handle": tokens[5],
-                "sections": {"objects": [], "maps": []},
-            }
-            self.fun_decls[name] = decl
-            return ("functor", name, decl)
-        self.err(i, head, "unknown block keyword")
-        return None
+        shape, expected, sections = _HEADERS[head]
+        if not _fits(tokens, shape):
+            self.err(i, name, expected)
+            return None
+        if not self._claim(i, name):
+            return None
+        decl = {
+            "kind": head,
+            "line": i,
+            "refs": tokens[3::2],
+            "objects": [],
+            "sections": {s: [] for s in sections},
+        }
+        self.decls[name] = decl
+        return (name, decl)
 
     def _claim(self, i: int, name: str) -> bool:
-        taken = (
-            name in self.cat_decls
-            or name in self.psh_decls
-            or name in self.site_decls
-            or name in self.handle_decls
-            or name in self.fun_decls
-        )
-        if taken:
+        if name in self.decls:
             self.err(i, name, "duplicate name")
             return False
         return True
@@ -340,14 +337,7 @@ class _Parser:
                 out.append(t)
 
     def _handle_line(self, i: int, tokens: list[str]) -> None:
-        # handle NAME = presheaves|sheaves on REF bound N
-        if (
-            len(tokens) != 8
-            or tokens[2] != "="
-            or tokens[3] not in ("presheaves", "sheaves")
-            or tokens[4] != "on"
-            or tokens[6] != "bound"
-        ):
+        if not _fits(tokens, "handle _ = presheaves|sheaves on _ bound _"):
             self.err(i, tokens[1] if len(tokens) > 1 else "handle",
                      "expected: handle <name> = presheaves|sheaves on <ref> bound <n>")
             return
@@ -362,10 +352,12 @@ class _Parser:
         if not 1 <= bound <= _MAX_HANDLE_BOUND:
             self.err(i, name, f"bound {bound} outside 1..{_MAX_HANDLE_BOUND}")
             return
-        self.handle_decls[name] = (i, HandleDecl(tokens[3], tokens[5], bound))
+        # a handle claims its name only once its bound is known to be good
+        handle = HandleDecl(tokens[3], tokens[5], bound)
+        self.decls[name] = {"kind": "handle", "line": i, "handle": handle}
 
     def _config_line(self, i: int, tokens: list[str]) -> None:
-        if len(tokens) < 3 or tokens[1] != "=":
+        if not _fits(tokens, "_ = _ ..."):
             self.err(i, "config", "expected: <key> = <value...>")
             return
         self.config[tokens[0]] = " ".join(tokens[2:])
@@ -373,34 +365,45 @@ class _Parser:
     # -- pass 2: declarations into live objects -----------------------------
 
     def build(self) -> Workspace:
+        """Resolve kind by kind, each in declaration order, so a block may
+        refer to any declaration of an earlier kind, wherever it stands."""
         ws = Workspace(config=dict(self.config))
-        for name in self.cat_decls:
-            C = self._build_category(name)
-            if C is not None:
-                ws.categories[name] = C
-        for name, decl in self.psh_decls.items():
-            F = self._build_presheaf(name, decl, ws)
-            if F is not None:
-                ws.presheaves[name] = F
-        for name, decl in self.site_decls.items():
-            s = self._build_site(name, decl, ws)
-            if s is not None:
-                ws.sites[name] = s
-        for name, (i, decl) in self.handle_decls.items():
-            if decl.kind == "presheaves" and decl.ref not in ws.categories:
-                self.err(i, name, f"unknown category {decl.ref!r}")
-            elif decl.kind == "sheaves" and decl.ref not in ws.sites:
-                self.err(i, name, f"unknown site {decl.ref!r}")
-            else:
-                ws.handle_decls[name] = decl
-        for name, decl in self.fun_decls.items():
-            d = self._build_functor(name, decl, ws)
-            if d is not None:
-                ws.functor_decls[name] = d
+        steps = (
+            ("category", self._build_category, ws.categories),
+            ("presheaf", self._build_presheaf, ws.presheaves),
+            ("site", self._build_site, ws.sites),
+            ("handle", self._build_handle, ws.handle_decls),
+            ("functor", self._build_functor, ws.functor_decls),
+        )
+        for kind, build, out in steps:
+            for name, decl in self.decls.items():
+                if decl["kind"] == kind:
+                    built = build(name, decl, ws)
+                    if built is not None:
+                        out[name] = built
         return ws
 
-    def _build_category(self, name: str) -> Optional[FinCategory]:
-        decl = self.cat_decls[name]
+    def _checked(self, name: str, decl: dict, make, validate):
+        """``make()``, unless it raises or ``validate`` finds a violation:
+        then None, with the first problem reported at the block's line."""
+        try:
+            built = make()
+            problem = next((v.detail for v in validate(built).violations), None)
+        except ToposkitError as e:
+            problem = str(e)
+        if problem is not None:
+            self.err(decl["line"], name, problem)
+            return None
+        return built
+
+    def _base(self, name: str, decl: dict, ws: Workspace) -> Optional[FinCategory]:
+        """The category a block's header names first, if it is declared."""
+        C = ws.categories.get(decl["refs"][0])
+        if C is None:
+            self.err(decl["line"], name, f"unknown category {decl['refs'][0]!r}")
+        return C
+
+    def _build_category(self, name: str, decl: dict, ws: Workspace) -> Optional[FinCategory]:
         objects = decl["objects"]
         if not objects:
             self.err(decl["line"], name, "category has no objects")
@@ -408,11 +411,10 @@ class _Parser:
         morphisms = []
         seen_m = set()
         for i, tokens in decl["sections"]["morphisms"]:
-            # m : a -> b
-            if len(tokens) != 5 or tokens[1] != ":" or tokens[3] != "->":
+            if not _fits(tokens, "_ : _ -> _"):
                 self.err(i, name, "expected: <morphism> : <src> -> <tgt>")
                 continue
-            m, src, tgt = tokens[0], tokens[2], tokens[4]
+            m, _, src, _, tgt = tokens
             if m in seen_m:
                 self.err(i, name, f"duplicate morphism {m!r}")
                 continue
@@ -423,11 +425,10 @@ class _Parser:
             morphisms.append((m, src, tgt))
         compose = {}
         for i, tokens in decl["sections"]["compose"]:
-            # g f = gf
-            if len(tokens) != 4 or tokens[2] != "=":
+            if not _fits(tokens, "_ _ = _"):
                 self.err(i, name, "expected: <g> <f> = <composite>")
                 continue
-            g, f, gf = tokens[0], tokens[1], tokens[3]
+            g, f, _, gf = tokens
             if g not in seen_m or f not in seen_m:
                 self.err(i, name, f"compose line references an unknown morphism")
                 continue
@@ -451,27 +452,17 @@ class _Parser:
                         f"compose entry for ({g}, {f}) is required: "
                         f"{len(cands)} candidate morphisms {a} -> {b}",
                     )
-        try:
-            C = make_category(name, objects, morphisms, compose)
-        except ToposkitError as e:
-            self.err(decl["line"], name, str(e))
-            return None
-        rep = validate_category(C)
-        if not rep.ok:
-            self.err(decl["line"], name, rep.violations[0].detail)
-            return None
-        return C
+        return self._checked(
+            name, decl, lambda: make_category(name, objects, morphisms, compose), validate_category
+        )
 
     def _build_presheaf(self, name: str, decl: dict, ws: Workspace) -> Optional[Presheaf]:
-        base = decl["base"]
-        if base not in ws.categories:
-            self.err(decl["line"], name, f"unknown category {base!r}")
+        C = self._base(name, decl, ws)
+        if C is None:
             return None
-        C = ws.categories[base]
         values: dict[str, list[str]] = {}
         for i, tokens in decl["sections"]["values"]:
-            # X = e0 e1 ...   (possibly empty)
-            if len(tokens) < 2 or tokens[1] != "=":
+            if not _fits(tokens, "_ = ..."):
                 self.err(i, name, "expected: <object> = <elements...>")
                 continue
             X = tokens[0]
@@ -486,11 +477,10 @@ class _Parser:
             values.setdefault(X, [])
         actions: dict[str, dict[str, str]] = {}
         for i, tokens in decl["sections"]["actions"]:
-            # m : e -> e'
-            if len(tokens) != 5 or tokens[1] != ":" or tokens[3] != "->":
+            if not _fits(tokens, "_ : _ -> _"):
                 self.err(i, name, "expected: <morphism> : <element> -> <element>")
                 continue
-            m, e, e2 = tokens[0], tokens[2], tokens[4]
+            m, _, e, _, e2 = tokens
             if m not in C.non_identities():
                 self.err(i, name, f"unknown or identity morphism {m!r}")
                 continue
@@ -509,72 +499,61 @@ class _Parser:
             if missing:
                 self.err(decl["line"], name, f"action of {m!r} misses {missing[0]!r}")
                 return None
-        try:
-            F = make_presheaf(C, {x: tuple(v) for x, v in values.items()}, actions, name=name)
-        except ToposkitError as e:
-            self.err(decl["line"], name, str(e))
-            return None
-        rep = validate_presheaf(F)
-        if not rep.ok:
-            self.err(decl["line"], name, rep.violations[0].detail)
-            return None
-        return F
+        return self._checked(
+            name, decl,
+            lambda: make_presheaf(C, {x: tuple(v) for x, v in values.items()}, actions, name=name),
+            validate_presheaf,
+        )
 
     def _build_site(self, name: str, decl: dict, ws: Workspace) -> Optional[Site]:
-        base = decl["base"]
-        if base not in ws.categories:
-            self.err(decl["line"], name, f"unknown category {base!r}")
+        C = self._base(name, decl, ws)
+        if C is None:
             return None
-        C = ws.categories[base]
         covers: dict[str, list[list[str]]] = {}
-        bad = False
+        errors_before = len(self.errors)
         for i, tokens in decl["sections"]["covers"]:
-            # X <- m1 m2 ...    ('X <-' is the empty cover)
-            if len(tokens) < 2 or tokens[1] != "<-":
+            if not _fits(tokens, "_ <- ..."):
                 self.err(i, name, "expected: <object> <- <morphisms...>")
-                bad = True
                 continue
             X = tokens[0]
             if X not in C.objects:
                 self.err(i, name, f"unknown object {X!r}")
-                bad = True
                 continue
             fam = tokens[2:]
             for m in fam:
-                if m not in C.non_identities() and m not in {C.id_of(x) for x in C.objects}:
+                if not C.has_mor(m):
                     self.err(i, name, f"unknown morphism {m!r} in a cover of {X!r}")
-                    bad = True
                 elif C.tgt(m) != X:
                     self.err(i, name, f"cover member {m!r} does not land in {X!r}")
-                    bad = True
             covers.setdefault(X, []).append(fam)
-        if bad:
+        if len(self.errors) > errors_before:
             return None
-        try:
-            site = generate_topology(C, covers, name=name)
-        except ToposkitError as e:
-            self.err(decl["line"], name, str(e))
-            return None
-        rep = validate_site(site)
-        if not rep.ok:
-            self.err(decl["line"], name, rep.violations[0].detail)
-            return None
-        return site
+        return self._checked(
+            name, decl, lambda: generate_topology(C, covers, name=name), validate_site
+        )
+
+    def _build_handle(self, name: str, decl: dict, ws: Workspace) -> Optional[HandleDecl]:
+        h = decl["handle"]
+        if h.kind == "presheaves" and h.ref not in ws.categories:
+            self.err(decl["line"], name, f"unknown category {h.ref!r}")
+        elif h.kind == "sheaves" and h.ref not in ws.sites:
+            self.err(decl["line"], name, f"unknown site {h.ref!r}")
+        else:
+            return h
+        return None
 
     def _build_functor(self, name: str, decl: dict, ws: Workspace) -> Optional[FunctorDecl]:
-        base = decl["base"]
-        if base not in ws.categories:
-            self.err(decl["line"], name, f"unknown category {base!r}")
+        C = self._base(name, decl, ws)
+        if C is None:
             return None
-        if decl["handle"] not in ws.handle_decls:
-            self.err(decl["line"], name, f"unknown handle {decl['handle']!r}")
+        handle = decl["refs"][1]
+        if handle not in ws.handle_decls:
+            self.err(decl["line"], name, f"unknown handle {handle!r}")
             return None
-        C = ws.categories[base]
-        hbase = _handle_base(ws, decl["handle"])
+        hbase = _handle_base(ws, handle)
         objects: dict[str, tuple] = {}
         for i, tokens in decl["sections"]["objects"]:
-            # X = e0 e1 ...  |  X = presheaf P
-            if len(tokens) < 2 or tokens[1] != "=":
+            if not _fits(tokens, "_ = ..."):
                 self.err(i, name, "expected: <object> = <elements...> or = presheaf <name>")
                 continue
             X = tokens[0]
@@ -584,8 +563,8 @@ class _Parser:
             if X in objects:
                 self.err(i, name, f"duplicate object line for {X!r}")
                 continue
-            if tokens[2:3] == ["presheaf"]:
-                if len(tokens) != 4:
+            if _fits(tokens, "_ = presheaf ..."):
+                if not _fits(tokens, "_ = presheaf _"):
                     self.err(i, name, "expected: <object> = presheaf <name>")
                     continue
                 ref = tokens[3]
@@ -617,39 +596,33 @@ class _Parser:
         maps: dict[str, dict[str, dict[str, str]]] = {}
         hb_objs = set(hbase.objects)
         sole = next(iter(hb_objs)) if len(hb_objs) == 1 else None
-        bad = False
+        errors_before = len(self.errors)
         for i, tokens in decl["sections"]["maps"]:
-            # m @ X : e -> e'   |   m : e -> e'   (single-object base)
-            if len(tokens) == 7 and tokens[1] == "@" and tokens[3] == ":" and tokens[5] == "->":
-                m, X, e, e2 = tokens[0], tokens[2], tokens[4], tokens[6]
-            elif len(tokens) == 5 and tokens[1] == ":" and tokens[3] == "->" and sole:
-                m, X, e, e2 = tokens[0], sole, tokens[2], tokens[4]
+            # the base object may be left out when the handle's base has one
+            if _fits(tokens, "_ @ _ : _ -> _"):
+                m, _, X, _, e, _, e2 = tokens
+            elif _fits(tokens, "_ : _ -> _") and sole:
+                (m, _, e, _, e2), X = tokens, sole
             else:
                 self.err(i, name, "expected: <morphism> [@ <base object>] : <elem> -> <elem>")
-                bad = True
                 continue
             if m not in C.non_identities():
                 self.err(i, name, f"unknown morphism {m!r}")
-                bad = True
                 continue
             if X not in hb_objs:
                 self.err(i, name, f"unknown handle-base object {X!r}")
-                bad = True
                 continue
             dom_elems = elements(objects[C.src(m)]).get(X, ())
             cod_elems = elements(objects[C.tgt(m)]).get(X, ())
             if e not in dom_elems:
                 self.err(i, name, f"{e!r} is not an element of the source of {m!r} at {X}")
-                bad = True
                 continue
             if e2 not in cod_elems:
                 self.err(i, name, f"{e2!r} is not an element of the target of {m!r} at {X}")
-                bad = True
                 continue
             comp = maps.setdefault(m, {}).setdefault(X, {})
             if e in comp:
                 self.err(i, name, f"duplicate map entry for {m!r} at {e!r}")
-                bad = True
                 continue
             comp[e] = e2
         for m in C.non_identities():
@@ -663,20 +636,11 @@ class _Parser:
                         decl["line"], name,
                         f"map of {m!r} misses {left[0]!r} at {X}",
                     )
-                    bad = True
-        if bad:
+        if len(self.errors) > errors_before:
             return None
-        d = FunctorDecl(name, base, decl["handle"], objects, maps)
-        try:
-            p = _materialize_functor(ws, d)
-            rep = validate_handle_functor(p)
-        except ToposkitError as e:
-            self.err(decl["line"], name, str(e))
-            return None
-        if not rep.ok:
-            self.err(decl["line"], name, rep.violations[0].detail)
-            return None
-        return d
+        d = FunctorDecl(name, decl["refs"][0], handle, objects, maps)
+        p = self._checked(name, decl, lambda: _materialize_functor(ws, d), validate_handle_functor)
+        return None if p is None else d
 
 
 def parse_workspace_text(text: str) -> Workspace:

@@ -31,6 +31,7 @@ from toposkit.fincat import (
     FinCategory,
     FinFunctor,
     HandleDiagram,
+    HandleFunctor,
     Morphism,
     discrete_category,
     enumerate_cones,
@@ -43,7 +44,9 @@ from toposkit.fincat import (
     universal_cone_search,
     validate_category,
     validate_functor,
+    validate_handle_functor,
 )
+from toposkit.presheaf import finset_category, finset_map, finset_obj
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -222,6 +225,19 @@ def test_validate_functor_catches_composition_failure():
     F = FinFunctor(Z, I, {"*": "e"}, {"id_*": "id_e", "s": "e2"})
     rep = validate_functor(F)
     assert any(v.law == "composition" for v in rep.violations)
+
+
+def test_validate_handle_functor_flags_a_namesake_endpoint():
+    # c0.c1 starts at a set named A, but not at the A that c0 goes to
+    arrow = chain(2)
+    B = finset_obj(["b"], name="B")
+    p = HandleFunctor(
+        "p", arrow, finset_category(3),
+        {"c0": finset_obj(["a"], name="A"), "c1": B},
+        {"c0.c1": finset_map(finset_obj(["x", "y"], name="A"), B, {"x": "b", "y": "b"})},
+    )
+    rep = validate_handle_functor(p)
+    assert [v.detail for v in rep.violations] == ["value of c0.c1 has wrong source"]
 
 
 # ---------------------------------------------------------------------------

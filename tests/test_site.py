@@ -660,6 +660,16 @@ def test_mixed_targets_rejected():
         is_strict_epi_family(fs, [f, g])
 
 
+def test_mixed_targets_rejected_when_they_share_a_name():
+    # the keys agree, the contents do not
+    fs = finset_category(3)
+    S = finset_obj(["s"], name="S")
+    f1 = finset_map(S, finset_obj(["t"], name="T"), {"s": "t"})
+    f2 = finset_map(S, finset_obj(["u", "v"], name="T"), {"s": "u"})
+    with pytest.raises(StructureError, match="mixed targets"):
+        is_strict_epi_family(fs, [f1, f2])
+
+
 def test_universal_strict_epi_on_the_diamond():
     C = diamond()
     assert is_universal_strict_epi(C, ["a.top", "b.top"]).ok
