@@ -370,8 +370,10 @@ class _ReadOnlyDict(dict):
 @dataclass(frozen=True)
 class FlatVerdict:
     """Memoized and shared, so frozen, with the notes as a tuple and the
-    counterexample a dict and lists that refuse edits; copies of the
-    counterexample, by ``copy`` or pickle, are plain and editable."""
+    counterexample a dict and lists that refuse edits.  A copy of the
+    verdict, by ``copy`` or pickle, is rebuilt through ``__init__`` and
+    refuses edits too; copies of the counterexample alone are plain and
+    editable."""
 
     verdict: str
     counterexample: Optional[dict]
@@ -385,6 +387,9 @@ class FlatVerdict:
                 for k, v in self.counterexample.items()
             )
             object.__setattr__(self, "counterexample", frozen)
+
+    def __reduce__(self):
+        return type(self), (self.verdict, self.counterexample, self.instances, self.notes)
 
 
 def _limit_probes(pool: list[Presheaf], max_probes: int):

@@ -44,6 +44,7 @@ from .fincat import (
     validate_handle_functor,
 )
 from .kan import (
+    FlatVerdict,
     adjunction_phi,
     build_ell,
     hp_on_mor,
@@ -648,6 +649,8 @@ class _Recorder:
         self.witnesses: list[dict] = []
         self.notes: list[str] = []
         self._truncated = 0
+        # suite IV's instances whose hom or transform pool is above budget
+        self.skipped = 0
 
     def check(self, ok: bool, witness: Union[dict, Callable[[], dict], None] = None) -> bool:
         self.checks += 1
@@ -663,12 +666,12 @@ class _Recorder:
         if msg not in self.notes:
             self.notes.append(msg)
 
-    def record(self) -> tuple[int, list[dict], list[str], int]:
+    def record(self) -> tuple[int, list[dict], list[str], int, int]:
         """What a unit hands back to the runner: plain, picklable values."""
-        return self.checks, self.witnesses, self.notes, self._truncated
+        return self.checks, self.witnesses, self.notes, self._truncated, self.skipped
 
     def absorb(self, checks: int, witnesses: list[dict], notes: list[str],
-               truncated: int) -> None:
+               truncated: int, skipped: int) -> None:
         """Append a later unit's record, as if its checks had run here."""
         for w in witnesses:
             if len(self.witnesses) < _MAX_WITNESSES:
@@ -676,11 +679,14 @@ class _Recorder:
             else:
                 self._truncated += 1
         self._truncated += truncated
+        self.skipped += skipped
         for msg in notes:
             self.note(msg)
         self.checks += checks
 
     def finish(self, theorem: str, digest: str) -> SuiteReport:
+        if self.skipped:
+            self.note(f"{self.skipped} instances skipped: hom or transform pool above budget")
         if self._truncated:
             self.note(f"witness list capped at {_MAX_WITNESSES}; {self._truncated} more failures")
         verdict = "pass" if not self.witnesses else "fail"
@@ -763,29 +769,30 @@ def _suite_I(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None
                 )
 
 
-def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
+def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None:
+    """Suite II on one base category; the suite is one unit per category,
+    in sorted order."""
     rec.note(
         f"exhaustive census at value bound {budget.density_bound} "
         "plus the corpus presheaf samples"
     )
-    for cname in sorted(corpus.categories):
-        C = corpus.categories[cname]
-        seen = set()
-        for F in enumerate_presheaves(C, budget.density_bound):
-            seen.add(short_key(F))
-            d = density_check(F)
-            rec.check(
-                d.ok,
-                lambda: {"category": cname, "presheaf": short_key(F), "detail": d.detail},
-            )
-        for F in corpus.presheaves[cname]:
-            if short_key(F) in seen:
-                continue
-            d = density_check(F)
-            rec.check(
-                d.ok,
-                lambda: {"category": cname, "presheaf": short_key(F), "detail": d.detail},
-            )
+    C = corpus.categories[cname]
+    seen = set()
+    for F in enumerate_presheaves(C, budget.density_bound):
+        seen.add(short_key(F))
+        d = density_check(F)
+        rec.check(
+            d.ok,
+            lambda: {"category": cname, "presheaf": short_key(F), "detail": d.detail},
+        )
+    for F in corpus.presheaves[cname]:
+        if short_key(F) in seen:
+            continue
+        d = density_check(F)
+        rec.check(
+            d.ok,
+            lambda: {"category": cname, "presheaf": short_key(F), "detail": d.detail},
+        )
 
 
 def _check_extension_along(
@@ -848,9 +855,15 @@ def _suite_III(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         )
 
 
-def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
-    skipped = 0
-    for fx in corpus.functors:
+def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, *span: int) -> None:
+    """Suite IV on the functors ``corpus.functors[start:stop]`` of
+    ``span = (start, stop)``, or its currying pin when there is no span;
+    the suite is contiguous functor slices, then the pin.  Instances
+    skipped for their pool size are counted in ``rec.skipped``."""
+    if not span:
+        _currying_pin(corpus, rec)
+        return
+    for fx in corpus.functors[slice(*span)]:
         p = fx.functor
         Z = p.cod
         rng = random.Random(f"{corpus.seed}:IV:{fx.name}")
@@ -861,7 +874,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             for z in zs:
                 hp = right_adjoint_hp(p, z)
                 if _nat_count_bound(ext, z) > HOM_POOL_BOUND:
-                    skipped += 1
+                    rec.skipped += 1
                     continue
                 phi = adjunction_phi(p, H, z)
                 # one map past the cap tells whether the set was truncated
@@ -885,7 +898,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     )
                 nats = _nats_capped(H, hp, NAT_POOL_BOUND)
                 if nats is None:
-                    skipped += 1
+                    rec.skipped += 1
                     continue
                 for t in nats[: budget.hom_cap]:
                     rt = phi.forward(phi.backward(t))
@@ -903,13 +916,13 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             for H2 in Hs:
                 maps = _nats_capped(H1, H2, NAT_POOL_BOUND)
                 if maps is None:
-                    skipped += 1
+                    rec.skipped += 1
                     continue
                 for s in maps[:2]:
                     for z in zs[:1]:
                         ext2 = tilde_extend(p, H2).obj
                         if _nat_count_bound(ext2, z) > HOM_POOL_BOUND:
-                            skipped += 1
+                            rec.skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H1, z)
                         phi2 = adjunction_phi(p, H2, z)
@@ -932,7 +945,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     for H in Hs[:2]:
                         ext = tilde_extend(p, H).obj
                         if _nat_count_bound(ext, z2) > HOM_POOL_BOUND:
-                            skipped += 1
+                            rec.skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H, z1)
                         phi2 = adjunction_phi(p, H, z2)
@@ -946,10 +959,10 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                                     "detail": "transpose not natural in the codomain",
                                 },
                             )
-    if skipped:
-        rec.note(f"{skipped} instances skipped: hom or transform pool above budget")
 
-    # the currying pin: sets S, A, Z of size two give 16 maps both ways
+
+def _currying_pin(corpus: Corpus, rec: _Recorder) -> None:
+    """Sets S, A, Z of size two give 16 maps both ways."""
     p = next(f for f in corpus.functors if f.name == "two_point_stalk").functor
     FSH = corpus.handles["finset"]
     S = constant_presheaf(corpus.categories["one"], ["s0", "s1"], name="S")
@@ -974,8 +987,10 @@ def flat_knobs(budget: Budget) -> dict:
     }
 
 
-def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
-    for fx in corpus.functors:
+def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder, start: int, stop: int) -> None:
+    """Suite V on the functors ``corpus.functors[start:stop]``; the suite
+    is contiguous functor slices."""
+    for fx in corpus.functors[start:stop]:
         if fx.codomain != "finset":
             continue
         p = fx.functor
@@ -1258,10 +1273,10 @@ def _drop_run_memos(corpus: Corpus) -> None:
     Each unit calls this when it returns, even by an exception, in the
     process that ran it.  Memory is then bounded by the run in hand, not
     by the corpus's lifetime.  Flatness verdicts stay memoized on the
-    functors of that process: each is a few hundred bytes, and later
-    suites probe the same functors again.  A unit run on a worker process
-    fills and drops memos there, so it leaves no memo, flatness verdicts
-    included, on the caller's corpus.
+    functors: each is a few hundred bytes, and later suites probe the
+    same functors again.  A unit run on a worker process fills and drops
+    its memos there; the flatness verdicts it memoized travel back in its
+    record, and the runner puts them into the caller's memo.
     """
     for fx in corpus.functors:
         for key in ("extension", "extension_mor", "hp"):
@@ -1286,14 +1301,21 @@ _SUITES = {
 # the runner: units on worker processes, records merged in unit order
 
 # a unit: the suite id ("controls" for the negative controls) and the
-# extra arguments of its body, the category name for suite I
-_Unit = tuple[str, tuple[str, ...]]
-_Record = tuple[int, list[dict], list[str], int]
+# extra arguments of its body: the category name for suites I and II, a
+# (start, stop) slice of the functors for suites IV and V, and none for
+# suite IV's currying pin
+_Unit = tuple[str, tuple]
+# a unit's recorder record, then the flatness verdicts it memoized, as
+# (functor index, is_flat_bounded memo key, verdict)
+_Record = tuple[
+    tuple[int, list[dict], list[str], int, int], list[tuple[int, tuple, FlatVerdict]]
+]
 
 
 def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> _Record:
     theorem, args = unit
     rec = _Recorder()
+    before = [set(fx.functor._memo.get("flat", ())) for fx in corpus.functors]
     try:
         if theorem == "controls":
             _controls(corpus, rec)
@@ -1301,13 +1323,22 @@ def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> _Record:
             _SUITES[theorem](corpus, budget, rec, *args)
     finally:
         _drop_run_memos(corpus)
-    return rec.record()
+    flat = [
+        (i, key, verdict)
+        for i, fx in enumerate(corpus.functors)
+        for key, verdict in fx.functor._memo.get("flat", {}).items()
+        if key not in before[i]
+    ]
+    return rec.record(), flat
 
 
 # the corpus and budget of the run, set in each worker when it starts
 _WORKER_RUN: tuple = ()
 # seconds between checks that every worker is still alive
 _WORKER_POLL_S = 0.5
+# functor slices of suites IV and V per worker: enough for the workers to
+# even out, few enough that the pool's cost per unit stays small
+_SLICES_PER_WORKER = 4
 
 
 def _init_worker(corpus: Corpus, budget: Budget) -> None:
@@ -1333,12 +1364,14 @@ def _map_units(corpus: Corpus, budget: Budget, units: list[_Unit]) -> list[_Reco
 
     Units run on forked workers, which inherit the corpus and the hash
     seed, so nothing is pickled on the way in and set iteration orders,
-    and with them the records, are those of the caller.  They run
-    in-process instead when there is one worker, when fork is not
-    available, or when the caller has other threads, which a fork can
-    deadlock.  No worker outlives the call, whether it returns or raises;
-    a worker that dies without a result, killed say, raises
-    ChildProcessError rather than leave the call waiting for it.
+    and with them the records, are those of the caller.  A worker's
+    memos stay in the worker, except the flatness verdicts that each
+    record carries back.  Units run in-process instead when there is one
+    worker, when fork is not available, or when the caller has other
+    threads, which a fork can deadlock.  No worker outlives the call,
+    whether it returns or raises; a worker that dies without a result,
+    killed say, raises ChildProcessError rather than leave the call
+    waiting for it.
     """
     n = _worker_count(len(units))
     if n > 1 and threading.active_count() == 1:
@@ -1369,19 +1402,32 @@ def _map_units(corpus: Corpus, budget: Budget, units: list[_Unit]) -> list[_Reco
     return list(map(functools.partial(_run_unit, corpus, budget), units))
 
 
+def _functor_slices(corpus: Corpus) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) slices of ``corpus.functors``: one when
+    there is one worker, else ``_SLICES_PER_WORKER`` per worker."""
+    n = len(corpus.functors)
+    workers = _worker_count(n)
+    k = min(n, workers * _SLICES_PER_WORKER) if workers > 1 else 1
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteReport]:
-    """The reports of ``theorems``, in order: suite I runs as one unit per
-    category, every other suite and the controls as one unit each.  A
-    suite's records merge in unit order, so its checks, witnesses and
-    notes are those of one serial run."""
-    units = [
-        (t, args)
-        for t in theorems
-        for args in ([(c,) for c in sorted(corpus.categories)] if t == "I" else [()])
-    ]
+    """The reports of ``theorems``, in order.  Suites I and II run as one
+    unit per category, suite IV as functor slices and then its currying
+    pin, suite V as functor slices, and every other suite and the
+    controls as one unit each.  A suite's records merge in unit order, so
+    its checks, witnesses and notes are those of one serial run.  The
+    flatness verdicts that units memoized go into the caller's memo, in
+    unit order, so a run on workers leaves the memo a serial run would."""
+    categories = [(c,) for c in sorted(corpus.categories)]
+    slices = _functor_slices(corpus)
+    unit_args = {"I": categories, "II": categories, "IV": slices + [()], "V": slices}
+    units = [(t, args) for t in theorems for args in unit_args.get(t, [()])]
     merged = {t: _Recorder() for t in theorems}
-    for (theorem, _), record in zip(units, _map_units(corpus, budget, units)):
+    for (theorem, _), (record, flat) in zip(units, _map_units(corpus, budget, units)):
         merged[theorem].absorb(*record)
+        for i, key, verdict in flat:
+            corpus.functors[i].functor._memo.setdefault("flat", {}).setdefault(key, verdict)
     digest = corpus.digest()
     return [rec.finish(theorem, digest) for theorem, rec in merged.items()]
 
@@ -1389,11 +1435,13 @@ def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteR
 def run_theorem_suite(
     theorem: str, corpus: Corpus, budget: Union[str, Budget] = "default"
 ) -> SuiteReport:
-    """One suite's report.  Suite I runs one unit per category, on worker
-    processes when the process may use more than one CPU; then it fills
-    no memo of ``corpus``.  Every other suite is one unit, run in-process,
-    which drops its extension, right-adjoint and hom memos when it
-    returns and keeps its flatness verdicts memoized on the corpus."""
+    """One suite's report.  Suites I and II run one unit per category and
+    suites IV and V one unit per functor slice, on worker processes when
+    the process may use more than one CPU; suites III, VI and VII are one
+    unit, run in-process.  Either way the run drops the extension,
+    right-adjoint and hom memos it filled and leaves the flatness
+    verdicts it probed memoized on ``corpus``: units on workers hand
+    theirs back to the caller."""
     if theorem not in _SUITES:
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
     return _run(corpus, _resolve_budget(budget), (theorem,))[0]
@@ -1404,8 +1452,10 @@ def suite_all(corpus: Corpus, budget: Union[str, Budget] = "default") -> dict:
 
     The units of all eight run together, on worker processes when the
     process may use more than one CPU.  The report is byte-identical to a
-    serial run's; on the worker path the run leaves no memo on
-    ``corpus``, so flatness verdicts are no longer memoized there.
+    serial run's, and so is the flatness memo the run leaves on
+    ``corpus``: units on workers hand their verdicts back.  Suites VI,
+    VII and the controls run beside suite V there, so they probe the
+    verdicts they read again rather than wait for V's.
     """
     budget = _resolve_budget(budget)
     reports = _run(corpus, budget, SUITE_IDS + ("controls",))

@@ -45,6 +45,15 @@ def diamond_cat() -> FinCategory:
     return diamond()
 
 
+@pytest.fixture
+def serial_workers(monkeypatch):
+    """Every suite run in-process, with suites IV and V as one functor
+    slice each, as on a machine with one CPU."""
+    from toposkit import verify
+
+    monkeypatch.setattr(verify, "_worker_count", lambda units: 1)
+
+
 def ordered(d):
     """Nested dicts as item lists, so that key order is compared too."""
     return [(k, ordered(v)) for k, v in d.items()] if isinstance(d, dict) else d

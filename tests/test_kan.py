@@ -12,6 +12,7 @@ functor's tables.
 import copy
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -727,6 +728,30 @@ def test_an_edit_to_a_shared_counterexample_reaches_no_later_caller():
     mine["factors"].append("h_top")
     assert is_flat_bounded(wedge) is verdict
     assert verdict.counterexample == want
+
+
+def test_a_copied_flat_verdict_still_refuses_edits():
+    from toposkit.verify import corpus_generate
+
+    functors = corpus_generate(0, "small").functors
+    wedge = next(fx.functor for fx in functors if fx.name == "wedge_diamond")
+    verdict = is_flat_bounded(wedge)
+    for copied in (
+        pickle.loads(pickle.dumps(verdict)),
+        copy.deepcopy(verdict),
+        copy.copy(verdict),
+    ):
+        assert copied == verdict
+        with pytest.raises(TypeError):
+            copied.counterexample["shape"] = "tampered"
+        with pytest.raises(TypeError):
+            copied.counterexample["factors"].append("h_top")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.notes = ()
+    assert verdict.counterexample == {"shape": "binary-product", "factors": ["h_a", "h_b"]}
+    # a verdict without a counterexample copies as it is
+    fits = is_flat_bounded(upset_char(ARROW, {"s", "t"}, "all_arrow"), max_probes=6, max_pool=10)
+    assert pickle.loads(pickle.dumps(fits)) == fits
 
 
 def test_covariant_elements_is_a_category_with_named_nodes():

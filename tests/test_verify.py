@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from toposkit import verify
+from toposkit import kan, verify
 from toposkit.errors import (
     ConsistencyError,
     ConstructionRefused,
@@ -217,6 +217,7 @@ def _run(theorem, corpus):
     return run_theorem_suite(theorem, corpus, "small")
 
 
+@pytest.mark.usefixtures("serial_workers")
 @pytest.mark.parametrize("theorem", SUITE_IDS + ("controls",))
 def test_a_run_drops_its_memos_and_a_rerun_reports_the_same(theorem):
     corpus = corpus_generate(1, "small")
@@ -226,6 +227,7 @@ def test_a_run_drops_its_memos_and_a_rerun_reports_the_same(theorem):
     assert _memos_held(corpus) == []
 
 
+@pytest.mark.usefixtures("serial_workers")
 def test_flat_verdicts_outlive_the_run():
     corpus = corpus_generate(1, "small")
     run_theorem_suite("V", corpus, "small")
@@ -244,7 +246,7 @@ def _raising(real, corpus, seen):
     return wrapped
 
 
-def test_a_suite_that_raises_still_drops_its_memos(monkeypatch):
+def test_a_suite_that_raises_still_drops_its_memos(monkeypatch, serial_workers):
     corpus = corpus_generate(1, "small")
     seen = []
     monkeypatch.setitem(verify._SUITES, "IV", _raising(verify._SUITES["IV"], corpus, seen))
@@ -255,7 +257,7 @@ def test_a_suite_that_raises_still_drops_its_memos(monkeypatch):
     assert _memos_held(corpus) == []
 
 
-def test_controls_that_raise_still_drop_their_memos(monkeypatch):
+def test_controls_that_raise_still_drop_their_memos(monkeypatch, serial_workers):
     corpus = corpus_generate(1, "small")
     seen = []
     monkeypatch.setattr(verify, "is_flat_bounded", _raising(verify.is_flat_bounded, corpus, seen))
@@ -326,9 +328,7 @@ def test_suite_all_reports_the_same_on_workers_and_leaves_none(monkeypatch):
         corpus = corpus_generate(2, "small")
         reports.append(json.dumps(suite_all(corpus, "small")))
         assert multiprocessing.active_children() == []
-        # flatness verdicts stay memoized where suite V ran: on the
-        # caller's corpus in-process, on the workers otherwise
-        assert any(fx.functor._memo.get("flat") for fx in corpus.functors) == (n == 1)
+        assert _memos_held(corpus) == []
     assert reports[0] == reports[1]
 
 
@@ -375,21 +375,20 @@ def test_the_cli_imports_no_multiprocessing():
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
-def _census_pids(monkeypatch):
+def _call_pids(monkeypatch, module, name):
+    """The process of each call to ``module.name``."""
     pids = []
-    real = verify.enumerate_presheaves
-    monkeypatch.setattr(
-        verify, "enumerate_presheaves", lambda *a, **k: pids.append(os.getpid()) or real(*a, **k)
-    )
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: pids.append(os.getpid()) or real(*a, **k))
     return pids
 
 
 def test_one_unit_and_threaded_callers_run_in_process(monkeypatch):
     _workers(monkeypatch, 2)
-    pids = _census_pids(monkeypatch)
-    run_theorem_suite("II", CORPUS, "small")
-    assert pids and set(pids) == {os.getpid()}
-    del pids[:]
+    pids = _call_pids(monkeypatch, verify, "eta_iso")
+    run_theorem_suite("III", CORPUS, "small")
+    assert len(pids) == len(CORPUS.functors) and set(pids) == {os.getpid()}
+    pids = _call_pids(monkeypatch, verify, "enumerate_presheaves")
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
@@ -403,6 +402,242 @@ def test_one_unit_and_threaded_callers_run_in_process(monkeypatch):
     del pids[:]
     run_theorem_suite("I", CORPUS, "small")
     assert pids == []
+
+
+# -- suites II, IV and V on workers ------------------------------------------
+
+
+def _serial_report(theorem, corpus, budget):
+    """One recorder over every unit of ``theorem``, in order, in-process."""
+    rec = verify._Recorder()
+    n = len(corpus.functors)
+    spans = {
+        "II": [(c,) for c in sorted(corpus.categories)],
+        "IV": [(0, n), ()],
+        "V": [(0, n)],
+    }[theorem]
+    for span in spans:
+        verify._SUITES[theorem](corpus, budget, rec, *span)
+    return rec.finish(theorem, corpus.digest()).to_dict()
+
+
+def _sliced_reports(monkeypatch, theorem, corpus, budget):
+    """The reports of ``theorem`` on one worker and on two."""
+    reports = []
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        reports.append(run_theorem_suite(theorem, corpus, budget).to_dict())
+        assert multiprocessing.active_children() == []
+    return reports
+
+
+def _slices_on_two_workers(monkeypatch, corpus):
+    _workers(monkeypatch, 2)
+    return verify._functor_slices(corpus)
+
+
+@pytest.mark.parametrize("theorem", ["II", "IV", "V"])
+@pytest.mark.parametrize("seed, budget", [(s, "small") for s in range(4)] + [(0, "default")])
+def test_suites_II_IV_V_report_the_same_on_workers(monkeypatch, theorem, seed, budget):
+    reports = [
+        _sliced_reports(monkeypatch, theorem, corpus_generate(seed, budget), budget)
+        for _ in range(2)
+    ]
+    assert reports[0][0] == reports[0][1] == reports[1][1]
+    assert reports[0][0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "theorem, probe",
+    [("I", "enumerate_presheaves"), ("II", "density_check"), ("IV", "adjunction_phi"),
+     ("V", "is_flat_setvalued")],
+)
+def test_suites_I_II_IV_V_run_on_the_workers(monkeypatch, theorem, probe):
+    _workers(monkeypatch, 2)
+    pids = _call_pids(monkeypatch, verify, probe)
+    run_theorem_suite(theorem, CORPUS, "small")
+    assert pids == []
+    _workers(monkeypatch, 1)
+    run_theorem_suite(theorem, CORPUS, "small")
+    assert pids and set(pids) == {os.getpid()}
+
+
+def test_functor_slices_cover_the_functors_in_order(monkeypatch):
+    corpus = corpus_generate(0, "default")
+    slices = _slices_on_two_workers(monkeypatch, corpus)
+    assert len(slices) == 2 * verify._SLICES_PER_WORKER
+    assert [a for a, _ in slices[1:]] == [b for _, b in slices[:-1]]
+    assert (slices[0][0], slices[-1][1]) == (0, len(corpus.functors))
+    _workers(monkeypatch, 1)
+    assert verify._functor_slices(corpus) == [(0, len(corpus.functors))]
+
+
+def test_suite_II_merges_its_units_as_one_serial_run(monkeypatch):
+    corpus = corpus_generate(0, "small")
+    budget = budget_profile("small")
+    real = verify.density_check
+    planted = {id(corpus.categories[n]) for n in ("one", "parallel", "z2")}
+
+    def wrong(F):
+        d = real(F)
+        return dataclasses.replace(d, ok=False) if id(F.base) in planted else d
+
+    monkeypatch.setattr(verify, "density_check", wrong)
+    want = _serial_report("II", corpus, budget)
+    # a few failures on one base, then the cap reached on the next, and
+    # every failure of the last after the cap
+    assert [w["category"] for w in want["witnesses"]] == ["one"] * 8 + ["parallel"] * 17
+    assert want["budget_notes"] == [
+        "exhaustive census at value bound 2 plus the corpus presheaf samples",
+        "witness list capped at 25; 23 more failures",
+    ]
+    assert _sliced_reports(monkeypatch, "II", corpus, budget) == [want, want]
+
+
+def test_suite_IV_merges_its_slices_as_one_serial_run(monkeypatch):
+    # the default budget, where slices skip instances and truncate hom sets
+    corpus = corpus_generate(0, "default")
+    budget = budget_profile("default")
+    slices = _slices_on_two_workers(monkeypatch, corpus)
+    # the functors on either side of a slice boundary, the first only at
+    # its first transposition, and the last functor, whose failures run
+    # past the witness cap
+    edge = slices[1][0]
+    names = [fx.name for fx in corpus.functors]
+    calls = []  # the functor of each transposition since the functor changed
+    real_phi, real_validate = verify.adjunction_phi, verify.validate_presheaf_morphism
+
+    def phi(p, H, z):
+        if calls and calls[0] != p.name:
+            calls.clear()
+        calls.append(p.name)
+        return real_phi(p, H, z)
+
+    def validate(t):
+        rep = real_validate(t)
+        if calls and (calls == [names[edge - 1]] or calls[0] in (names[edge], names[-1])):
+            rep = dataclasses.replace(rep, violations=[*rep.violations, "planted"])
+        return rep
+
+    monkeypatch.setattr(verify, "adjunction_phi", phi)
+    monkeypatch.setattr(verify, "validate_presheaf_morphism", validate)
+    want = _serial_report("IV", corpus, budget)
+    fixtures = [w["fixture"] for w in want["witnesses"]]
+    assert fixtures == [names[edge - 1]] + [names[edge]] * 21 + [names[-1]] * 3
+    # the slices' notes first, then the skip count, then the cap
+    assert want["budget_notes"] == [
+        "hom sets truncated to 6 maps",
+        "3 instances skipped: hom or transform pool above budget",
+        "witness list capped at 25; 9 more failures",
+    ]
+    assert _sliced_reports(monkeypatch, "IV", corpus, budget) == [want, want]
+
+
+def test_suite_V_merges_its_slices_as_one_serial_run(monkeypatch):
+    corpus = corpus_generate(1, "small")
+    budget = budget_profile("small")
+    slices = _slices_on_two_workers(monkeypatch, corpus)
+    # every functor past the first slice reads as not flat elementwise
+    planted = {fx.name for fx in corpus.functors[slices[1][0]:]}
+    real = verify.is_flat_setvalued
+
+    def wrong(p):
+        rep = real(p)
+        if p.name in planted:
+            return dataclasses.replace(rep, violations=[] if rep.violations else ["planted"])
+        return rep
+
+    monkeypatch.setattr(verify, "is_flat_setvalued", wrong)
+    want = _serial_report("V", corpus, budget)
+    assert len(want["witnesses"]) == 25
+    assert want["budget_notes"] == ["witness list capped at 25; 17 more failures"]
+    assert len({w["fixture"] for w in want["witnesses"]}) > len(slices)
+    assert _sliced_reports(monkeypatch, "V", corpus, budget) == [want, want]
+
+
+def _flat_memo(corpus):
+    return {fx.name: fx.functor._memo.get("flat", {}) for fx in corpus.functors}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda c: run_theorem_suite("V", c, "small"), lambda c: suite_all(c, "small")],
+    ids=["suite V", "suite all"],
+)
+def test_flat_verdicts_probed_on_workers_reach_the_caller(monkeypatch, run):
+    memos = []
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        pids = _call_pids(monkeypatch, kan, "_flat_verdict")
+        corpus = corpus_generate(2, "small")
+        run(corpus)
+        # probed in the caller only when the run is in-process
+        assert bool(pids) == (n == 1)
+        memos.append(_flat_memo(corpus))
+    assert memos[0] == memos[1]
+    counterexamples = [
+        v.counterexample
+        for verdicts in memos[1].values()
+        for v in verdicts.values()
+        if v.counterexample is not None
+    ]
+    assert counterexamples
+    for cx in counterexamples:
+        with pytest.raises(TypeError):
+            cx["shape"] = "tampered"
+        for value in cx.values():
+            if isinstance(value, list):
+                with pytest.raises(TypeError):
+                    value.append("h_top")
+
+
+def test_suites_after_V_read_its_verdicts_from_the_workers(monkeypatch):
+    _workers(monkeypatch, 2)
+    corpus = corpus_generate(3, "small")
+    run_theorem_suite("V", corpus, "small")
+    pids = _call_pids(monkeypatch, kan, "_flat_verdict")
+    for theorem in ("VI", "VII"):
+        run_theorem_suite(theorem, corpus, "small")
+    assert pids == []
+
+
+@pytest.mark.parametrize("theorem", ["II", "IV", "V"])
+def test_a_unit_that_raises_on_a_worker_raises_in_the_caller(monkeypatch, theorem):
+    _workers(monkeypatch, 2)
+    corpus = corpus_generate(1, "small")
+    parent = os.getpid()
+    real = verify._SUITES[theorem]
+    last = {"II": (max(corpus.categories),), "IV": (), "V": verify._functor_slices(corpus)[-1]}
+
+    def raising(corpus_, budget, rec, *args):
+        real(corpus_, budget, rec, *args)
+        if args == last[theorem]:
+            raise RuntimeError(f"raised mid-run in {os.getpid()}")
+
+    monkeypatch.setitem(verify._SUITES, theorem, raising)
+    with pytest.raises(RuntimeError, match="mid-run") as info:
+        run_theorem_suite(theorem, corpus, "small")
+    assert str(info.value) != f"raised mid-run in {parent}"
+    assert multiprocessing.active_children() == []
+    assert _memos_held(corpus) == []
+
+
+def test_controls_that_raise_on_a_worker_raise_in_the_caller(monkeypatch):
+    _workers(monkeypatch, 2)
+    corpus = corpus_generate(1, "small")
+    parent = os.getpid()
+    real = verify._controls
+
+    def raising(corpus_, rec):
+        real(corpus_, rec)
+        if os.getpid() != parent:
+            raise RuntimeError("raised mid-run")
+
+    monkeypatch.setattr(verify, "_controls", raising)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        suite_all(corpus, "small")
+    assert multiprocessing.active_children() == []
+    assert _memos_held(corpus) == []
 
 
 # -- suites catch tampering -------------------------------------------------
