@@ -44,7 +44,6 @@ from .fincat import (
     validate_handle_functor,
 )
 from .kan import (
-    FlatVerdict,
     adjunction_phi,
     build_ell,
     hp_on_mor,
@@ -666,23 +665,18 @@ class _Recorder:
         if msg not in self.notes:
             self.notes.append(msg)
 
-    def record(self) -> tuple[int, list[dict], list[str], int, int]:
-        """What a unit hands back to the runner: plain, picklable values."""
-        return self.checks, self.witnesses, self.notes, self._truncated, self.skipped
-
-    def absorb(self, checks: int, witnesses: list[dict], notes: list[str],
-               truncated: int, skipped: int) -> None:
-        """Append a later unit's record, as if its checks had run here."""
-        for w in witnesses:
+    def absorb(self, other: _Recorder) -> None:
+        """Append a later unit's recorder, as if its checks had run here."""
+        for w in other.witnesses:
             if len(self.witnesses) < _MAX_WITNESSES:
                 self.witnesses.append({**w, "check": w["check"] + self.checks})
             else:
                 self._truncated += 1
-        self._truncated += truncated
-        self.skipped += skipped
-        for msg in notes:
+        self._truncated += other._truncated
+        self.skipped += other.skipped
+        for msg in other.notes:
             self.note(msg)
-        self.checks += checks
+        self.checks += other.checks
 
     def finish(self, theorem: str, digest: str) -> SuiteReport:
         if self.skipped:
@@ -1275,8 +1269,8 @@ def _drop_run_memos(corpus: Corpus) -> None:
     by the corpus's lifetime.  Flatness verdicts stay memoized on the
     functors: each is a few hundred bytes, and later suites probe the
     same functors again.  A unit run on a worker process fills and drops
-    its memos there; the flatness verdicts it memoized travel back in its
-    record, and the runner puts them into the caller's memo.
+    its memos there; its flatness memos travel back with its recorder,
+    and the runner puts their verdicts into the caller's memo.
     """
     for fx in corpus.functors:
         for key in ("extension", "extension_mor", "hp"):
@@ -1298,24 +1292,20 @@ _SUITES = {
 
 
 # ---------------------------------------------------------------------------
-# the runner: units on worker processes, records merged in unit order
+# the runner: units on worker processes, recorders merged in unit order
 
 # a unit: the suite id ("controls" for the negative controls) and the
 # extra arguments of its body: the category name for suites I and II, a
 # (start, stop) slice of the functors for suites IV and V, and none for
 # suite IV's currying pin
 _Unit = tuple[str, tuple]
-# a unit's recorder record, then the flatness verdicts it memoized, as
-# (functor index, is_flat_bounded memo key, verdict)
-_Record = tuple[
-    tuple[int, list[dict], list[str], int, int], list[tuple[int, tuple, FlatVerdict]]
-]
 
 
-def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> _Record:
+def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> tuple[_Recorder, list[dict]]:
+    """The unit's recorder, and each corpus functor's flatness memo, the
+    verdicts the unit probed among them."""
     theorem, args = unit
     rec = _Recorder()
-    before = [set(fx.functor._memo.get("flat", ())) for fx in corpus.functors]
     try:
         if theorem == "controls":
             _controls(corpus, rec)
@@ -1323,19 +1313,11 @@ def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> _Record:
             _SUITES[theorem](corpus, budget, rec, *args)
     finally:
         _drop_run_memos(corpus)
-    flat = [
-        (i, key, verdict)
-        for i, fx in enumerate(corpus.functors)
-        for key, verdict in fx.functor._memo.get("flat", {}).items()
-        if key not in before[i]
-    ]
-    return rec.record(), flat
+    return rec, [fx.functor._memo.get("flat", {}) for fx in corpus.functors]
 
 
 # the corpus and budget of the run, set in each worker when it starts
 _WORKER_RUN: tuple = ()
-# seconds between checks that every worker is still alive
-_WORKER_POLL_S = 0.5
 # functor slices of suites IV and V per worker: enough for the workers to
 # even out, few enough that the pool's cost per unit stays small
 _SLICES_PER_WORKER = 4
@@ -1346,7 +1328,7 @@ def _init_worker(corpus: Corpus, budget: Budget) -> None:
     _WORKER_RUN = (corpus, budget)
 
 
-def _worker_unit(unit: _Unit) -> _Record:
+def _worker_unit(unit: _Unit) -> tuple[_Recorder, list[dict]]:
     return _run_unit(*_WORKER_RUN, unit)
 
 
@@ -1359,46 +1341,34 @@ def _worker_count(units: int) -> int:
     return min(cpus, units)
 
 
-def _map_units(corpus: Corpus, budget: Budget, units: list[_Unit]) -> list[_Record]:
-    """Each unit's record, in unit order.
+def _map_units(
+    corpus: Corpus, budget: Budget, units: list[_Unit]
+) -> list[tuple[_Recorder, list[dict]]]:
+    """Each unit's ``_run_unit`` result, in unit order.
 
     Units run on forked workers, which inherit the corpus and the hash
-    seed, so nothing is pickled on the way in and set iteration orders,
-    and with them the records, are those of the caller.  A worker's
-    memos stay in the worker, except the flatness verdicts that each
-    record carries back.  Units run in-process instead when there is one
-    worker, when fork is not available, or when the caller has other
-    threads, which a fork can deadlock.  No worker outlives the call,
-    whether it returns or raises; a worker that dies without a result,
-    killed say, raises ChildProcessError rather than leave the call
-    waiting for it.
+    seed, so nothing is pickled on the way in and set iteration orders
+    are those of the caller.  They run in-process instead when there is
+    one worker, when fork is not available, or when the caller has other
+    threads, which a fork can deadlock.  On an error, the units not yet
+    queued to a worker are cancelled and the others finish before it is
+    raised; a worker that dies raises ChildProcessError.  No worker
+    outlives the call.
     """
     n = _worker_count(len(units))
     if n > 1 and threading.active_count() == 1:
         import multiprocessing  # deferred: the pool is off the import path
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            before = set(multiprocessing.active_children())
-            pool = multiprocessing.get_context("fork").Pool(
-                n, initializer=_init_worker, initargs=(corpus, budget)
-            )
-            workers = [p for p in multiprocessing.active_children() if p not in before]
-            try:
-                results = pool.imap(_worker_unit, units, chunksize=1)
-                records = []
-                while len(records) < len(units):
-                    try:
-                        records.append(results.next(timeout=_WORKER_POLL_S))
-                    except multiprocessing.TimeoutError:
-                        if not all(w.is_alive() for w in workers):
-                            raise ChildProcessError("a suite worker died without a result")
-            except BaseException:
-                pool.terminate()
-                pool.join()
-                raise
-            pool.close()
-            pool.join()
-            return records
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(n, fork, _init_worker, (corpus, budget)) as pool:
+                # when a result raises, map cancels the units not yet queued,
+                # and leaving the block waits for the others
+                try:
+                    return list(pool.map(_worker_unit, units))
+                except BrokenProcessPool as e:
+                    raise ChildProcessError("a suite worker died without a result") from e
     return list(map(functools.partial(_run_unit, corpus, budget), units))
 
 
@@ -1415,19 +1385,20 @@ def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteR
     """The reports of ``theorems``, in order.  Suites I and II run as one
     unit per category, suite IV as functor slices and then its currying
     pin, suite V as functor slices, and every other suite and the
-    controls as one unit each.  A suite's records merge in unit order, so
-    its checks, witnesses and notes are those of one serial run.  The
-    flatness verdicts that units memoized go into the caller's memo, in
+    controls as one unit each.  A suite's recorders merge in unit order,
+    so its checks, witnesses and notes are those of one serial run.  The
+    flatness verdicts in the units' memos go into the caller's memo, in
     unit order, so a run on workers leaves the memo a serial run would."""
     categories = [(c,) for c in sorted(corpus.categories)]
     slices = _functor_slices(corpus)
     unit_args = {"I": categories, "II": categories, "IV": slices + [()], "V": slices}
     units = [(t, args) for t in theorems for args in unit_args.get(t, [()])]
     merged = {t: _Recorder() for t in theorems}
-    for (theorem, _), (record, flat) in zip(units, _map_units(corpus, budget, units)):
-        merged[theorem].absorb(*record)
-        for i, key, verdict in flat:
-            corpus.functors[i].functor._memo.setdefault("flat", {}).setdefault(key, verdict)
+    for (theorem, _), (rec, flats) in zip(units, _map_units(corpus, budget, units)):
+        merged[theorem].absorb(rec)
+        for fx, flat in zip(corpus.functors, flats):
+            for key, verdict in flat.items():
+                fx.functor._memo.setdefault("flat", {}).setdefault(key, verdict)
     digest = corpus.digest()
     return [rec.finish(theorem, digest) for theorem, rec in merged.items()]
 
@@ -1436,12 +1407,15 @@ def run_theorem_suite(
     theorem: str, corpus: Corpus, budget: Union[str, Budget] = "default"
 ) -> SuiteReport:
     """One suite's report.  Suites I and II run one unit per category and
-    suites IV and V one unit per functor slice, on worker processes when
+    suites IV and V one unit per functor slice, on a process pool when
     the process may use more than one CPU; suites III, VI and VII are one
     unit, run in-process.  Either way the run drops the extension,
     right-adjoint and hom memos it filled and leaves the flatness
     verdicts it probed memoized on ``corpus``: units on workers hand
-    theirs back to the caller."""
+    theirs back to the caller.  When a unit raises, the units not yet
+    queued to a worker are cancelled and the others finish before the
+    error is raised in the caller; a worker that dies raises
+    ``ChildProcessError``.  No worker outlives the call."""
     if theorem not in _SUITES:
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
     return _run(corpus, _resolve_budget(budget), (theorem,))[0]
@@ -1450,12 +1424,13 @@ def run_theorem_suite(
 def suite_all(corpus: Corpus, budget: Union[str, Budget] = "default") -> dict:
     """All seven suites plus the negative controls, in fixed order.
 
-    The units of all eight run together, on worker processes when the
+    The units of all eight run together, on a process pool when the
     process may use more than one CPU.  The report is byte-identical to a
     serial run's, and so is the flatness memo the run leaves on
     ``corpus``: units on workers hand their verdicts back.  Suites VI,
     VII and the controls run beside suite V there, so they probe the
-    verdicts they read again rather than wait for V's.
+    verdicts they read again rather than wait for V's.  Errors, dead
+    workers and the pool's end are as for ``run_theorem_suite``.
     """
     budget = _resolve_budget(budget)
     reports = _run(corpus, budget, SUITE_IDS + ("controls",))

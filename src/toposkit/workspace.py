@@ -235,7 +235,7 @@ def _fits(tokens: list[str], shape: str) -> bool:
 # block keyword -> (header shape, the error when a header has another shape,
 # section names); the header's tokens 3, 5, ... are the names it refers to
 _HEADERS = {
-    "category": ("category _ ...", "", ("morphisms", "compose")),
+    "category": ("category _", "expected: category <name>", ("morphisms", "compose")),
     "presheaf": (
         "presheaf _ on _", "expected: presheaf <name> on <category>", ("values", "actions")
     ),
@@ -298,11 +298,11 @@ class _Parser:
                 self.err(i, "config", "duplicate config block")
             self.config_line = i
             return ("config", None)
-        if head == "handle":
-            self._handle_line(i, tokens)
-            return None
         if len(tokens) < 2 or not _NAME.match(tokens[1]):
             self.err(i, head, "block needs a name")
+            return None
+        if head == "handle":
+            self._handle_line(i, tokens)
             return None
         name = tokens[1]
         shape, expected, sections = _HEADERS[head]
@@ -337,11 +337,10 @@ class _Parser:
                 out.append(t)
 
     def _handle_line(self, i: int, tokens: list[str]) -> None:
-        if not _fits(tokens, "handle _ = presheaves|sheaves on _ bound _"):
-            self.err(i, tokens[1] if len(tokens) > 1 else "handle",
-                     "expected: handle <name> = presheaves|sheaves on <ref> bound <n>")
-            return
         name = tokens[1]
+        if not _fits(tokens, "handle _ = presheaves|sheaves on _ bound _"):
+            self.err(i, name, "expected: handle <name> = presheaves|sheaves on <ref> bound <n>")
+            return
         if not self._claim(i, name):
             return
         try:

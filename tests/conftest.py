@@ -1,13 +1,14 @@
 """Shared fixture categories, built by hand so tests stay independent
-of the corpus generator they are meant to check, and the helpers that
-compare tables with their dict orders."""
+of the corpus generator they are meant to check, the helpers that
+compare tables with their dict orders, and epsilon as a handle functor."""
 
 from __future__ import annotations
 
 import pytest
 
-from toposkit.fincat import FinCategory, make_category, poset_category
+from toposkit.fincat import FinCategory, HandleFunctor, make_category, poset_category
 from toposkit.presheaf import Presheaf
+from toposkit.site import SheafCategory, Site, epsilon, epsilon_on_mor
 
 
 def diamond() -> FinCategory:
@@ -66,4 +67,16 @@ def reversed_tables(F: Presheaf) -> Presheaf:
         {X: vs[::-1] for X, vs in F.values.items()},
         {m: dict(reversed(act.items())) for m, act in F.actions.items()},
         "R",
+    )
+
+
+def epsilon_handle_functor(site: Site, cod: SheafCategory) -> HandleFunctor:
+    """Epsilon packaged as a handle-valued functor for functor-level checks."""
+    C = site.base
+    return HandleFunctor(
+        "epsilon",
+        C,
+        cod,
+        {X: epsilon(site, X) for X in C.objects},
+        {m: epsilon_on_mor(site, m) for m in C.non_identities()},
     )

@@ -17,26 +17,12 @@ from toposkit.site import (
     SheafCategory,
     Site,
     canonical_pretopology,
-    epsilon,
-    epsilon_on_mor,
     generate_topology,
     is_subcanonical,
 )
 from toposkit.verify import fixture_categories, fixture_sites
 
-from conftest import diamond, parallel_arrows, walking_idempotent
-
-
-def epsilon_handle_functor(site: Site, cod: SheafCategory) -> HandleFunctor:
-    """Epsilon packaged as a handle-valued functor for functor-level checks."""
-    C = site.base
-    return HandleFunctor(
-        "epsilon",
-        C,
-        cod,
-        {X: epsilon(site, X) for X in C.objects},
-        {m: epsilon_on_mor(site, m) for m in C.non_identities()},
-    )
+from conftest import diamond, epsilon_handle_functor, parallel_arrows, walking_idempotent
 
 
 def is_handle_fully_faithful(p: HandleFunctor) -> ValidationReport:

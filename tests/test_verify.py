@@ -15,6 +15,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -323,11 +324,14 @@ def test_suite_I_merges_its_units_as_one_serial_run(monkeypatch):
 
 def test_suite_all_reports_the_same_on_workers_and_leaves_none(monkeypatch):
     reports = []
+    threads = threading.active_count()
     for n in (1, 2):
         _workers(monkeypatch, n)
         corpus = corpus_generate(2, "small")
         reports.append(json.dumps(suite_all(corpus, "small")))
         assert multiprocessing.active_children() == []
+        # a thread left behind would make every later run serial
+        assert threading.active_count() == threads
         assert _memos_held(corpus) == []
     assert reports[0] == reports[1]
 
@@ -362,14 +366,19 @@ def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
         return real(C, bound, **kwargs)
 
     monkeypatch.setattr(verify, "enumerate_presheaves", dying)
+    threads = threading.active_count()
     with pytest.raises(ChildProcessError):
         run_theorem_suite("I", corpus_generate(0, "small"), "small")
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_the_cli_imports_no_multiprocessing():
     # the pool is imported on its first use, so the CLI's start-up stays lean
-    code = "import sys, toposkit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    code = (
+        "import sys, toposkit.cli; print(sorted(m for m in sys.modules"
+        " if 'multiprocessing' in m or m == 'concurrent.futures.process'))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
@@ -615,11 +624,39 @@ def test_a_unit_that_raises_on_a_worker_raises_in_the_caller(monkeypatch, theore
             raise RuntimeError(f"raised mid-run in {os.getpid()}")
 
     monkeypatch.setitem(verify._SUITES, theorem, raising)
+    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="mid-run") as info:
         run_theorem_suite(theorem, corpus, "small")
     assert str(info.value) != f"raised mid-run in {parent}"
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
     assert _memos_held(corpus) == []
+
+
+def test_a_unit_that_raises_cancels_the_units_not_yet_started(monkeypatch, tmp_path):
+    _workers(monkeypatch, 2)
+    log = tmp_path / "units"
+    first = min(CORPUS.categories)
+
+    def slow(corpus, budget, rec, cname):
+        with open(log, "a") as f:
+            f.write(f"start {cname}\n")
+        if cname == first:
+            raise RuntimeError("raised by the first unit")
+        time.sleep(0.5)
+        with open(log, "a") as f:
+            f.write(f"done {cname}\n")
+
+    monkeypatch.setitem(verify._SUITES, "I", slow)
+    with pytest.raises(RuntimeError, match="first unit"):
+        run_theorem_suite("I", CORPUS, "small")
+    events = [line.split() for line in log.read_text().splitlines()]
+    started = {c for e, c in events if e == "start"}
+    # the units not yet queued when the error came back never start, and
+    # every unit that started has finished when the error reaches the caller
+    assert first in started and len(started) < len(CORPUS.categories)
+    assert {c for e, c in events if e == "done"} == started - {first}
+    assert multiprocessing.active_children() == []
 
 
 def test_controls_that_raise_on_a_worker_raise_in_the_caller(monkeypatch):

@@ -158,6 +158,20 @@ def test_handle_bound_violation():
     assert any("outside" in e.reason for e in errs)
 
 
+def _located(errs):
+    return [(e.line_no, e.entity, e.reason) for e in errs]
+
+
+def test_category_header_takes_only_a_name():
+    errs = _errors("category one extra junk\n  objects *\n")
+    assert _located(errs)[0] == (1, "one", "expected: category <name>")
+
+
+def test_handle_names_pass_the_name_check():
+    errs = _errors("category one\n  objects *\nhandle h#! = presheaves on one bound 2\n")
+    assert _located(errs) == [(3, "handle", "block needs a name")]
+
+
 def test_functor_map_elements_validated():
     errs = _errors(
         ARROW_WS
