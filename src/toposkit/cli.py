@@ -105,29 +105,18 @@ def _need(ws: Optional[Workspace], what: str, kind: str, name: str):
 def _cmd_validate(ws: Optional[Workspace], args, parse_error) -> tuple[dict, bool]:
     if parse_error is not None:
         errors = getattr(parse_error, "errors", [parse_error])
-        return (
-            {
-                "errors": [
-                    {"line": e.line_no, "entity": e.entity, "reason": e.reason}
-                    for e in errors
-                ]
-            },
-            True,
-        )
+        return {"errors": [{"line": e.line_no, "entity": e.entity, "reason": e.reason}
+                           for e in errors]}, True
     entities = []
-    failed = False
-    for name in sorted(ws.categories):
-        rep = validate_category(ws.categories[name])
-        entities.append({"kind": "category", "name": name, "ok": rep.ok,
-                         "violations": [v.to_dict() for v in rep.violations]})
-    for name in sorted(ws.presheaves):
-        rep = validate_presheaf(ws.presheaves[name])
-        entities.append({"kind": "presheaf", "name": name, "ok": rep.ok,
-                         "violations": [v.to_dict() for v in rep.violations]})
-    for name in sorted(ws.sites):
-        rep = validate_site(ws.sites[name])
-        entities.append({"kind": "site", "name": name, "ok": rep.ok,
-                         "violations": [v.to_dict() for v in rep.violations]})
+    for kind, table, validator in (
+        ("category", ws.categories, validate_category),
+        ("presheaf", ws.presheaves, validate_presheaf),
+        ("site", ws.sites, validate_site),
+    ):
+        for name in sorted(table):
+            rep = validator(table[name])
+            entities.append({"kind": kind, "name": name, "ok": rep.ok,
+                             "violations": [v.to_dict() for v in rep.violations]})
     for name in sorted(ws.handle_decls):
         d = ws.handle_decls[name]
         entities.append({"kind": "handle", "name": name, "ok": True,
@@ -267,17 +256,6 @@ def _cmd_suite(_ws, args, _perr) -> tuple[dict, bool]:
     return rep.to_dict(), rep.verdict != "pass"
 
 
-_NEEDS_WORKSPACE = {
-    "validate",
-    "sheafify",
-    "extend",
-    "adjoint",
-    "flat",
-    "continuous",
-    "epsilon",
-    "canonical-topology",
-}
-
 _HANDLERS = {
     "validate": _cmd_validate,
     "sheafify": _cmd_sheafify,
@@ -355,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     ws: Optional[Workspace] = None
     parse_error: Optional[WorkspaceParseError] = None
-    if args.command in _NEEDS_WORKSPACE:
+    if args.command != "suite":
         if not args.input:
             print(f"{args.command}: --input <workspace> is required", file=sys.stderr)
             return 2
@@ -363,6 +341,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             ws = parse_workspace(args.input)
         except FileNotFoundError:
             print(f"no such workspace: {args.input}", file=sys.stderr)
+            return 2
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"cannot read workspace {args.input}: {e}", file=sys.stderr)
             return 2
         except WorkspaceParseError as e:
             if args.command != "validate":

@@ -655,10 +655,11 @@ class HandleFunctor:
     cod: ComputationalCategory
     obj_map: Mapping[str, Obj]
     mor_map: Mapping[str, Mor]
-    # constructions memoized on this functor: its extension, its right-adjoint
-    # tables and its flatness verdict per pair of probe knobs; a theorem suite
-    # run drops all but the flatness verdicts from its corpus functors on return
+    # its extensions and right-adjoint tables, which live for one theorem
+    # suite run over its corpus: the run clears this when it ends
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # its flatness verdict per pair of probe knobs, which outlives the runs
+    _flat: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def on_mor(self, m: str) -> Mor:
         if self.dom.is_identity(m):

@@ -4,10 +4,11 @@ A functor p from a finite category into a cocomplete handle Z extends to
 presheaves: the value on H is the colimit of p over the category of
 elements of H, and the value on a presheaf morphism is the mediating map
 between the two colimits.  ``tilde_extend`` and ``tilde_extend_mor`` memoize
-their values on p, per canonical presheaf key and per morphism table.  A
-theorem suite run drops these memos, and the right-adjoint tables, from
-its corpus functors when it returns; flatness verdicts are small and stay
-memoized on p, one per pair of probe knobs.
+their values on p, per canonical presheaf key and per morphism table.
+These memos and the right-adjoint tables live in ``p._memo`` for one
+theorem suite run, which clears it when it ends (on worker processes the
+pool's end drops it); flatness verdicts are small and live in
+``p._flat``, one per pair of probe knobs, across runs.
 
 The extension restricted along the representables is naturally isomorphic
 to p itself; the isomorphism components are the colimit legs at the
@@ -15,7 +16,7 @@ identity elements, which are terminal in their element categories.
 
 The right adjoint sends a Z-object to the presheaf of maps out of p, with
 actions by precomposition; its table for each target is built once and
-kept on p until a suite run drops it.  The adjunction bijection is
+kept in ``p._memo`` with the extensions.  The adjunction bijection is
 executable both ways.  Flatness is decided two ways: for set-valued
 functors by cofilteredness of the category of elements, and in general
 by building finite-limit comparison maps up to an explicit budget, where
@@ -97,11 +98,11 @@ def tilde_extend(p: HandleFunctor, H: Presheaf) -> ExtensionValue:
     """The extension value on one presheaf, cocone included.
 
     The domain of presheaves is unbounded, so values are computed per
-    input and kept on p, keyed by canonical presheaf key, until a theorem
-    suite run over p's corpus drops them on return; the contract is the
-    universal property of each colimit.  The category of elements is
-    built to index the colimit's diagram and dropped afterwards, so the
-    memo holds neither it nor H.
+    input and kept in ``p._memo``, keyed by canonical presheaf key, for
+    the theorem suite run in hand; the contract is the universal property
+    of each colimit.  The category of elements is built to index the
+    colimit's diagram and dropped afterwards, so the memo holds neither
+    it nor H.
     """
     memo = p._memo.setdefault("extension", {})
     key = presheaf_key(H)
@@ -186,8 +187,8 @@ class HpValue:
 
 
 def _hp_value(p: HandleFunctor, z: Obj) -> HpValue:
-    """The table for one target, built once and kept on p until a suite
-    run over p's corpus drops it on return."""
+    """The table for one target, built once and kept in ``p._memo`` for
+    the theorem suite run in hand."""
     C = p.dom
     Z = p.cod
     # obj_key names the table and the hom sets depend on content, so
@@ -436,11 +437,10 @@ def is_flat_bounded(
     ``max_pool`` members, the pool is the representables alone and a note
     says so.  The verdict is memoized on p per ``(max_probes, max_pool)``.
     """
-    memo = p._memo.setdefault("flat", {})
     key = (max_probes, max_pool)
-    if key not in memo:
-        memo[key] = _flat_verdict(p, max_probes, max_pool)
-    return memo[key]
+    if key not in p._flat:
+        p._flat[key] = _flat_verdict(p, max_probes, max_pool)
+    return p._flat[key]
 
 
 def _flat_verdict(p: HandleFunctor, max_probes: int, max_pool: int) -> FlatVerdict:

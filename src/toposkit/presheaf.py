@@ -731,26 +731,21 @@ class PresheafCategory(ComputationalCategory):
         return (a.name, presheaf_key(a), b.name, presheaf_key(b))
 
     def hom(self, a: Presheaf, b: Presheaf) -> list[PresheafMorphism]:
-        k = self._hom_key(a, b)
-        slot = self._hom_memo.get(k)
-        if slot is None or not slot[1]:
-            slot = self._hom_memo[k] = (
-                enumerate_presheaf_morphisms(a, b, budget=HOM_BUDGET), True
-            )
-        return list(slot[0])
+        return self.hom_prefix(a, b, None)
 
-    def hom_prefix(self, a: Presheaf, b: Presheaf, n: int) -> list[PresheafMorphism]:
-        """The first n maps of ``hom(a, b)``; the search stops after them.
+    def hom_prefix(self, a: Presheaf, b: Presheaf, n: Optional[int]) -> list[PresheafMorphism]:
+        """The first n maps of ``hom(a, b)``, or all of them when n is
+        None; the search stops after them.
 
         The budget is checked as for ``hom``.  A search that stops early
-        leaves an incomplete slot, which a later ``hom`` replaces and a
-        later prefix read of at most n maps slices.
+        leaves an incomplete slot, which a later read of more maps
+        replaces and a later read of at most n maps slices.
         """
         k = self._hom_key(a, b)
         slot = self._hom_memo.get(k)
-        if slot is None or (not slot[1] and len(slot[0]) < n):
+        if slot is None or (not slot[1] and (n is None or len(slot[0]) < n)):
             maps = enumerate_presheaf_morphisms(a, b, budget=HOM_BUDGET, limit=n)
-            slot = self._hom_memo[k] = (maps, len(maps) < n)
+            slot = self._hom_memo[k] = (maps, n is None or len(maps) < n)
         return list(slot[0][:n])
 
     def identity(self, a: Presheaf) -> PresheafMorphism:

@@ -849,15 +849,12 @@ def _suite_III(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         )
 
 
-def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, *span: int) -> None:
-    """Suite IV on the functors ``corpus.functors[start:stop]`` of
-    ``span = (start, stop)``, or its currying pin when there is no span;
-    the suite is contiguous functor slices, then the pin.  Instances
-    skipped for their pool size are counted in ``rec.skipped``."""
-    if not span:
-        _currying_pin(corpus, rec)
-        return
-    for fx in corpus.functors[slice(*span)]:
+def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, start: int, stop: int) -> None:
+    """Suite IV on the functors ``corpus.functors[start:stop]``, and its
+    currying pin after the last slice; the suite is contiguous functor
+    slices.  Instances skipped for their pool size are counted in
+    ``rec.skipped``."""
+    for fx in corpus.functors[start:stop]:
         p = fx.functor
         Z = p.cod
         rng = random.Random(f"{corpus.seed}:IV:{fx.name}")
@@ -953,6 +950,8 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, *span: int) -> Non
                                     "detail": "transpose not natural in the codomain",
                                 },
                             )
+    if stop == len(corpus.functors):
+        _currying_pin(corpus, rec)
 
 
 def _currying_pin(corpus: Corpus, rec: _Recorder) -> None:
@@ -1206,12 +1205,12 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
 def negative_controls(corpus: Corpus) -> SuiteReport:
     """Curated broken inputs; every checker must reject its control.
 
-    One unit, so it runs in-process and drops its memos when it returns.
+    One unit, so it runs in-process, in one memo scope like a suite.
     """
     return _run(corpus, budget_profile("default"), ("controls",))[0]
 
 
-def _controls(corpus: Corpus, rec: _Recorder) -> None:
+def _controls(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
     arrow = corpus.categories["arrow"]
     F = yoneda_embed(arrow, "t")
     G = constant_presheaf(arrow, ["g0", "g1"], name="G2")
@@ -1262,19 +1261,16 @@ def _controls(corpus: Corpus, rec: _Recorder) -> None:
 
 
 def _drop_run_memos(corpus: Corpus) -> None:
-    """Drop the extension, right-adjoint and hom memos that a unit filled.
+    """End a run's memo scope: clear each corpus functor's ``_memo`` and
+    each handle's ``_hom_memo``, which live for one run.
 
-    Each unit calls this when it returns, even by an exception, in the
-    process that ran it.  Memory is then bounded by the run in hand, not
-    by the corpus's lifetime.  Flatness verdicts stay memoized on the
-    functors: each is a few hundred bytes, and later suites probe the
-    same functors again.  A unit run on a worker process fills and drops
-    its memos there; its flatness memos travel back with its recorder,
-    and the runner puts their verdicts into the caller's memo.
+    ``_run`` calls this once, in the caller, even when a unit raises, so
+    memory is bounded by the run in hand.  Each functor's ``_flat``
+    outlives the run: its verdicts are small, and later suites read them.
+    On workers, the pool's end drops the memos.
     """
     for fx in corpus.functors:
-        for key in ("extension", "extension_mor", "hp"):
-            fx.functor._memo.pop(key, None)
+        fx.functor._memo.clear()
     for handle in corpus.handles.values():
         if isinstance(handle, PresheafCategory):
             handle._hom_memo.clear()
@@ -1288,6 +1284,7 @@ _SUITES = {
     "V": _suite_V,
     "VI": _suite_VI,
     "VII": _suite_VII,
+    "controls": _controls,
 }
 
 
@@ -1297,23 +1294,18 @@ _SUITES = {
 # a unit: the suite id ("controls" for the negative controls) and the
 # extra arguments of its body: the category name for suites I and II, a
 # (start, stop) slice of the functors for suites IV and V, and none for
-# suite IV's currying pin
+# the others
 _Unit = tuple[str, tuple]
 
 
 def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> tuple[_Recorder, list[dict]]:
-    """The unit's recorder, and each corpus functor's flatness memo, the
-    verdicts the unit probed among them."""
+    """The unit's recorder, and each corpus functor's ``_flat`` memo, the
+    verdicts the unit probed among them; ``_memo`` and ``_hom_memo``
+    entries are left for its run's end."""
     theorem, args = unit
     rec = _Recorder()
-    try:
-        if theorem == "controls":
-            _controls(corpus, rec)
-        else:
-            _SUITES[theorem](corpus, budget, rec, *args)
-    finally:
-        _drop_run_memos(corpus)
-    return rec, [fx.functor._memo.get("flat", {}) for fx in corpus.functors]
+    _SUITES[theorem](corpus, budget, rec, *args)
+    return rec, [fx.functor._flat for fx in corpus.functors]
 
 
 # the corpus and budget of the run, set in each worker when it starts
@@ -1383,22 +1375,28 @@ def _functor_slices(corpus: Corpus) -> list[tuple[int, int]]:
 
 def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteReport]:
     """The reports of ``theorems``, in order.  Suites I and II run as one
-    unit per category, suite IV as functor slices and then its currying
-    pin, suite V as functor slices, and every other suite and the
-    controls as one unit each.  A suite's recorders merge in unit order,
-    so its checks, witnesses and notes are those of one serial run.  The
-    flatness verdicts in the units' memos go into the caller's memo, in
-    unit order, so a run on workers leaves the memo a serial run would."""
+    unit per category, suites IV and V as functor slices, and every other
+    suite and the controls as one unit each.  A suite's recorders merge
+    in unit order, so its checks, witnesses and notes are those of one
+    serial run.  The run is one memo scope: ``_memo`` and ``_hom_memo``
+    live until it ends, ``_flat`` outlives it, and on workers the pool's
+    end drops the memos.  The units' ``_flat`` verdicts go into the
+    caller's in unit order, so a run on workers leaves the memo a serial
+    run would."""
     categories = [(c,) for c in sorted(corpus.categories)]
     slices = _functor_slices(corpus)
-    unit_args = {"I": categories, "II": categories, "IV": slices + [()], "V": slices}
+    unit_args = {"I": categories, "II": categories, "IV": slices, "V": slices}
     units = [(t, args) for t in theorems for args in unit_args.get(t, [()])]
+    try:
+        results = _map_units(corpus, budget, units)
+    finally:
+        _drop_run_memos(corpus)
     merged = {t: _Recorder() for t in theorems}
-    for (theorem, _), (rec, flats) in zip(units, _map_units(corpus, budget, units)):
+    for (theorem, _), (rec, flats) in zip(units, results):
         merged[theorem].absorb(rec)
         for fx, flat in zip(corpus.functors, flats):
             for key, verdict in flat.items():
-                fx.functor._memo.setdefault("flat", {}).setdefault(key, verdict)
+                fx.functor._flat.setdefault(key, verdict)
     digest = corpus.digest()
     return [rec.finish(theorem, digest) for theorem, rec in merged.items()]
 
@@ -1409,14 +1407,14 @@ def run_theorem_suite(
     """One suite's report.  Suites I and II run one unit per category and
     suites IV and V one unit per functor slice, on a process pool when
     the process may use more than one CPU; suites III, VI and VII are one
-    unit, run in-process.  Either way the run drops the extension,
-    right-adjoint and hom memos it filled and leaves the flatness
-    verdicts it probed memoized on ``corpus``: units on workers hand
-    theirs back to the caller.  When a unit raises, the units not yet
-    queued to a worker are cancelled and the others finish before the
-    error is raised in the caller; a worker that dies raises
-    ``ChildProcessError``.  No worker outlives the call."""
-    if theorem not in _SUITES:
+    unit, run in-process.  The call is one memo scope: ``_memo`` and
+    ``_hom_memo`` live until it returns, the ``_flat`` verdicts it probed
+    outlive it, handed back by the workers, and the pool's end drops the
+    workers' memos.  When a unit raises, the units not yet queued to a
+    worker are cancelled and the others finish before the error is
+    raised in the caller; a worker that dies raises ``ChildProcessError``.
+    No worker outlives the call."""
+    if theorem not in SUITE_IDS:
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
     return _run(corpus, _resolve_budget(budget), (theorem,))[0]
 
@@ -1429,8 +1427,9 @@ def suite_all(corpus: Corpus, budget: Union[str, Budget] = "default") -> dict:
     serial run's, and so is the flatness memo the run leaves on
     ``corpus``: units on workers hand their verdicts back.  Suites VI,
     VII and the controls run beside suite V there, so they probe the
-    verdicts they read again rather than wait for V's.  Errors, dead
-    workers and the pool's end are as for ``run_theorem_suite``.
+    verdicts they read again rather than wait for V's.  The memo scope,
+    errors, dead workers and the pool's end are as for
+    ``run_theorem_suite``.
     """
     budget = _resolve_budget(budget)
     reports = _run(corpus, budget, SUITE_IDS + ("controls",))

@@ -183,6 +183,20 @@ def test_missing_workspace_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["validate"], ["flat", "p"]])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_workspace_is_usage_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "ws"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"category \xff\n  objects x\n")
+    code = main(command + ["--input", str(path), "--report", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith(f"cannot read workspace {path}: ")
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -857,7 +857,7 @@ def test_memoized_flat_verdicts_equal_the_uncached_probing(data):
         if knobs in seen:
             assert got is seen[knobs]
         seen[knobs] = got
-    assert set(p._memo["flat"]) == set(seen)
+    assert set(p._flat) == set(seen)
 
 
 def test_setvalued_flatness_needs_finite_set_targets():

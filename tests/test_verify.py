@@ -160,6 +160,9 @@ def test_suite_passes_on_small_budget(theorem):
 def test_unknown_suite_rejected():
     with pytest.raises(StructureError):
         run_theorem_suite("VIII", CORPUS, "small")
+    # the negative controls are not a suite of their own
+    with pytest.raises(StructureError):
+        run_theorem_suite("controls", CORPUS, "small")
 
 
 def test_report_dict_shape():
@@ -232,7 +235,7 @@ def test_a_run_drops_its_memos_and_a_rerun_reports_the_same(theorem):
 def test_flat_verdicts_outlive_the_run():
     corpus = corpus_generate(1, "small")
     run_theorem_suite("V", corpus, "small")
-    flat = [fx.name for fx in corpus.functors if fx.functor._memo.get("flat")]
+    flat = [fx.name for fx in corpus.functors if fx.functor._flat]
     assert "wedge_diamond" in flat and "const_point_diamond" in flat
 
 
@@ -422,7 +425,7 @@ def _serial_report(theorem, corpus, budget):
     n = len(corpus.functors)
     spans = {
         "II": [(c,) for c in sorted(corpus.categories)],
-        "IV": [(0, n), ()],
+        "IV": [(0, n)],
         "V": [(0, n)],
     }[theorem]
     for span in spans:
@@ -565,7 +568,7 @@ def test_suite_V_merges_its_slices_as_one_serial_run(monkeypatch):
 
 
 def _flat_memo(corpus):
-    return {fx.name: fx.functor._memo.get("flat", {}) for fx in corpus.functors}
+    return {fx.name: fx.functor._flat for fx in corpus.functors}
 
 
 @pytest.mark.parametrize(
@@ -616,7 +619,8 @@ def test_a_unit_that_raises_on_a_worker_raises_in_the_caller(monkeypatch, theore
     corpus = corpus_generate(1, "small")
     parent = os.getpid()
     real = verify._SUITES[theorem]
-    last = {"II": (max(corpus.categories),), "IV": (), "V": verify._functor_slices(corpus)[-1]}
+    slices = verify._functor_slices(corpus)
+    last = {"II": (max(corpus.categories),), "IV": slices[-1], "V": slices[-1]}
 
     def raising(corpus_, budget, rec, *args):
         real(corpus_, budget, rec, *args)
@@ -659,18 +663,37 @@ def test_a_unit_that_raises_cancels_the_units_not_yet_started(monkeypatch, tmp_p
     assert multiprocessing.active_children() == []
 
 
+def test_a_run_on_workers_drops_its_memos_once_in_the_caller(monkeypatch, tmp_path):
+    _workers(monkeypatch, 2)
+    log = tmp_path / "drops"
+    real = verify._drop_run_memos
+
+    def logged(corpus):
+        # workers cannot append to a list of the caller's, so the log is a file
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        real(corpus)
+
+    monkeypatch.setattr(verify, "_drop_run_memos", logged)
+    corpus = corpus_generate(1, "small")
+    for calls in (1, 2):
+        run_theorem_suite("IV", corpus, "small")
+        assert log.read_text().split() == [str(os.getpid())] * calls
+        assert _memos_held(corpus) == []
+
+
 def test_controls_that_raise_on_a_worker_raise_in_the_caller(monkeypatch):
     _workers(monkeypatch, 2)
     corpus = corpus_generate(1, "small")
     parent = os.getpid()
-    real = verify._controls
+    real = verify._SUITES["controls"]
 
-    def raising(corpus_, rec):
-        real(corpus_, rec)
+    def raising(corpus_, budget, rec):
+        real(corpus_, budget, rec)
         if os.getpid() != parent:
             raise RuntimeError("raised mid-run")
 
-    monkeypatch.setattr(verify, "_controls", raising)
+    monkeypatch.setitem(verify._SUITES, "controls", raising)
     with pytest.raises(RuntimeError, match="mid-run"):
         suite_all(corpus, "small")
     assert multiprocessing.active_children() == []
