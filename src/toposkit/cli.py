@@ -148,8 +148,10 @@ def _cmd_sheafify(ws: Workspace, args, _perr) -> tuple[dict, bool]:
             for x in sorted(res.unit.components)
         },
     }
-    # a failed sheaf check on the output would mean the construction broke
-    return payload, not after.ok or (before.ok and not unit_iso)
+    # the construction broke if its output is no sheaf, or if the unit's
+    # being an iso disagrees with the input's being a sheaf: an iso onto a
+    # sheaf makes the input one, and the unit of a sheaf is an iso
+    return payload, not after.ok or unit_iso != before.ok
 
 
 def _cmd_extend(ws: Workspace, args, _perr) -> tuple[dict, bool]:

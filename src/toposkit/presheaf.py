@@ -54,6 +54,9 @@ class Presheaf:
 
     ``actions[f]`` maps each element of values[tgt f] to an element of
     values[src f]; the table covers every morphism, identities included.
+    Constructions share tables: the plus construction and sheafification
+    hand on their input's value tuples, action dicts and identity actions
+    as their own, so no table may be mutated once it is in a presheaf.
     """
 
     base: FinCategory

@@ -17,9 +17,10 @@ Sheafification is the plus construction applied exactly twice.  Because a
 finite topology is closed under intersection of covering sieves, every
 object has a minimal covering sieve and matching-family classes are
 canonically labeled by their restriction to it; a naive common-refinement
-comparison is kept in the test suite as an oracle.  An object covered only
-by its maximal sieve h_X needs no family search: Match(h_X, F) = F(X) by
-Yoneda, so the plus construction passes F through unchanged there.
+comparison is kept in the test suite as an oracle.  Wherever F(X) maps
+bijectively onto those classes, as at every object of a sheaf, the plus
+construction passes F through and shares F's tables instead of copying
+them; an object whose minimal sieve is maximal needs no search for that.
 
 Both sheaf checks and the plus construction read a ``SitePlan`` instead
 of re-deriving the site on every call: the minimal and the covering
@@ -508,8 +509,8 @@ class PlusResult:
     A class hit by the canonical map keeps the label of its first
     preimage, so sheaf inputs (and any input over a trivial topology)
     reproduce their own labels; unhit classes get fresh p0, p1, ...
-    Where the minimal sieve is the maximal one, every class is hit exactly
-    once (Match(h_X, F) = F(X) by Yoneda), so F(X) passes through unchanged.
+    Where every class is hit exactly once, F(X) passes through unchanged,
+    and the presheaf and unit may share F's own tables there.
     ``decode`` recovers the family tuple behind a label, ``encode``
     inverts it; both list the classes in sorted-family order.
     """
@@ -523,38 +524,39 @@ class PlusResult:
 def plus_construction(F: Presheaf, site: Site) -> PlusResult:
     """One plus step: classes of matching families over minimal sieves.
 
-    At an object X whose minimal covering sieve holds id_X, that sieve is
-    the maximal one, h_X, and Match(h_X, F) = F(X) by Yoneda: every
-    matching family is the restriction family of exactly one element.  So
-    there F passes through unchanged, with no family search: the values
-    are F(X) sorted, the unit is the identity, and decode and encode pair
-    each element with its restriction family in sorted-family order, as
-    the search would.  An arrow between two such objects keeps F's action.
-    This rests on F satisfying the functor laws, which ``validate_presheaf``
-    checks; on a table that breaks them the two routes may differ.
+    Where F(X) -> Match(minimal sieve) is a bijection, as the count of
+    searched families against distinct restriction families shows, F
+    passes through: values F(X) sorted, identity unit, decode and encode
+    in sorted-family order, as the labeling would give, and F's action on
+    arrows between two such objects.  A sieve holding id_X is maximal and
+    needs no search: Match(h_X, F) = F(X) by Yoneda.  There F's own tables
+    are reused, not copied, wherever their order already fits.  This rests
+    on F satisfying the functor laws, which ``validate_presheaf`` checks.
     """
     plan = site_plan(site)
     C = site.base
     values: dict[str, tuple[str, ...]] = {}
     decode: dict[str, dict[str, tuple[str, ...]]] = {}
     encode: dict[str, dict[tuple[str, ...], str]] = {}
-    unit_comps: dict[str, dict[str, str]] = {}
+    unit_comps: dict[str, Mapping[str, str]] = {}
     through: set[str] = set()
     for X in C.objects:
-        sp = plan.minimal[X]
+        sp, vals = plan.minimal[X], F.values[X]
         restricted = _restrictions(F, X, sp.arrows)
-        if C.id_of(X) in sp.arrows:
+        preimage: dict[tuple[str, ...], str] = {}
+        for x, fam in zip(vals, restricted):
+            preimage.setdefault(fam, x)
+        fams = None if C.id_of(X) in sp.arrows else sorted(matching_families(sp, F))
+        if fams is None or len(fams) == len(preimage) == len(vals):
             through.add(X)
-            pairs = sorted(zip(restricted, F.values[X]))
-            values[X] = tuple(sorted(F.values[X]))
+            pairs = sorted(preimage.items())
+            srt = tuple(sorted(vals))
+            values[X] = vals if srt == vals else srt
             decode[X] = {x: fam for fam, x in pairs}
             encode[X] = dict(pairs)
-            unit_comps[X] = {x: x for x in F.values[X]}
+            ident = F.actions[C.id_of(X)]
+            unit_comps[X] = ident if tuple(ident) == vals else {x: x for x in vals}
             continue
-        fams = sorted(matching_families(sp, F))
-        preimage: dict[tuple[str, ...], str] = {}
-        for x, fam in zip(F.values[X], restricted):
-            preimage.setdefault(fam, x)
         used = set(preimage.values())
         labels = []
         fresh = 0
@@ -569,12 +571,12 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
         values[X] = tuple(sorted(labels))
         decode[X] = dict(zip(labels, fams))
         encode[X] = enc = dict(zip(fams, labels))
-        unit_comps[X] = {x: enc[fam] for x, fam in zip(F.values[X], restricted)}
-    actions: dict[str, dict[str, str]] = {}
+        unit_comps[X] = {x: enc[fam] for x, fam in zip(vals, restricted)}
+    actions: dict[str, Mapping[str, str]] = {}
     for m in C.morphisms:
         if m.src in through and m.tgt in through:
-            act = F.actions[m.name]
-            actions[m.name] = {x: act[x] for x in values[m.tgt]}
+            act, keys = F.actions[m.name], values[m.tgt]
+            actions[m.name] = act if tuple(act) == keys else {x: act[x] for x in keys}
             continue
         # restrict along m: m.g for g in the minimal sieve on the source
         # sits in the minimal sieve on the target, at the indexed position
@@ -583,9 +585,15 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
         actions[m.name] = {
             label: enc[tuple([dec[label][i] for i in idx])] for label in values[m.tgt]
         }
-    plus = Presheaf(C, values, actions, f"{F.name}+" if F.name else "+")
+    plus = Presheaf(C, _shared(values, F.values), _shared(actions, F.actions),
+                    f"{F.name}+" if F.name else "+")
     unit = PresheafMorphism(F, plus, unit_comps)
     return PlusResult(plus, unit, decode, encode)
+
+
+def _shared(new: dict, old: Mapping) -> Mapping:
+    """old itself when new holds old's very entries in old's key order."""
+    return old if list(new) == list(old) and all(new[k] is old[k] for k in new) else new
 
 
 def _push(t: PresheafMorphism, sp: SievePlan, fam: tuple[str, ...]) -> tuple[str, ...]:
@@ -614,16 +622,19 @@ class SheafificationResult:
 
 
 def sheafify(F: Presheaf, site: Site) -> SheafificationResult:
+    """Two plus steps.  The unit is composed object by object, and is the
+    first step's component wherever the second step passed through."""
     p1 = plus_construction(F, site)
     p2 = plus_construction(p1.presheaf, site)
     sheaf = Presheaf(
         p2.presheaf.base, p2.presheaf.values, p2.presheaf.actions,
         f"a({F.name})" if F.name else "a(F)",
     )
-    unit = compose_presheaf_morphisms(
-        PresheafMorphism(p1.presheaf, sheaf, p2.unit.components), p1.unit
-    )
-    return SheafificationResult(sheaf, unit, p1, p2)
+    ids, comps = p1.presheaf.actions, {}
+    for X, c1 in p1.unit.components.items():
+        c2 = p2.unit.components[X]
+        comps[X] = c1 if c2 is ids[site.base.id_of(X)] else {x: c2[c1[x]] for x in c1}
+    return SheafificationResult(sheaf, PresheafMorphism(F, sheaf, comps), p1, p2)
 
 
 def sheafify_morphism(

@@ -361,6 +361,27 @@ def test_sheafify_is_idle_on_a_sheaf(arrow_ws, capsys):
     assert r["was_sheaf"] is True and r["unit_is_iso"] is True
 
 
+def test_sheafify_fails_on_an_iso_unit_out_of_a_non_sheaf(demo_ws, capsys, monkeypatch):
+    # an iso onto a sheaf would make wedgeish a sheaf, so a construction
+    # that reports one has broken, though its output is a sheaf
+    from toposkit import cli
+    from toposkit.presheaf import PresheafMorphism
+    from toposkit.site import SheafificationResult
+
+    real = cli.sheafify
+
+    def identity_unit(F, site):
+        res = real(F, site)
+        ident = PresheafMorphism(F, F, {X: {x: x for x in vs} for X, vs in F.values.items()})
+        return SheafificationResult(res.sheaf, ident, res.stage1, res.stage2)
+
+    monkeypatch.setattr(cli, "sheafify", identity_unit)
+    code, payload = run_json(["sheafify", "--input", demo_ws, "wedgeish", "disc"], capsys)
+    r = payload["result"]
+    assert (r["was_sheaf"], r["unit_is_iso"], r["result_is_sheaf"]) == (False, True, True)
+    assert code == 1
+
+
 def test_extend_reports_values_and_cocone(arrow_ws, capsys):
     code, payload = run_json(["extend", "--input", arrow_ws, "doubled", "pt"], capsys)
     assert code == 0

@@ -6,7 +6,7 @@ flat, so ``build_ell`` accepts it as a handle functor into
 applied to epsilon itself, says that the inverse image it induces is the
 identity of Sh(C, J): extending epsilon along the representables sends
 every sheaf F back to a sheaf isomorphic to F.  Checked on the four
-corpus sites over every bound-2 sheaf.  The mutation precomposes epsilon
+corpus sites and on five more over every bound-2 sheaf.  The mutation precomposes epsilon
 with the symmetry of the two-point discrete space, which swaps its legs
 at the points a and b: the result is as continuous and flat as epsilon,
 and its inverse image swaps F(a) and F(b), so it fails the identity
@@ -17,6 +17,16 @@ inverse image of F to F, the colimit's factoring of the maps eps(X) -> F
 that the elements of F classify, is an isomorphism, and every square
 t . c_F = c_G . ell(t) commutes for sampled sheaf maps t: F -> G.  Its
 mutation pairs one map with another map's extension.
+
+The five sites beyond the corpus are diamond with the empty cover of a,
+chain3 with {u.t} covering t, the canonical topologies on span and
+parallel, and the trivial topology on z2.  The first two are not
+subcanonical: some representables are not sheaves there, so epsilon is
+not the Yoneda embedding, and its plus steps pass F through at some
+objects and search at others.  Flatness is probed over a finite pool of
+presheaves; where the bound-2 census has more than the pool's 20
+members, that pool holds the representables alone.  That is so on every
+site here but arrow_trivial and z2, and the flatness test pins it.
 """
 
 import pytest
@@ -24,12 +34,45 @@ import pytest
 from toposkit.fincat import HandleFunctor, validate_handle_functor
 from toposkit.kan import build_ell, is_flat_bounded, tilde_extend_mor
 from toposkit.presheaf import validate_presheaf_morphism, yoneda_backward, yoneda_embed
-from toposkit.site import SheafCategory, factor_through_unit, is_continuous, sheafify
+from toposkit.site import (
+    SheafCategory,
+    canonical_pretopology,
+    factor_through_unit,
+    generate_topology,
+    is_continuous,
+    is_subcanonical,
+    plus_construction,
+    sheafify,
+)
 from toposkit.verify import fixture_categories, fixture_sites
 
 from conftest import epsilon_handle_functor
 
-SITES = fixture_sites(fixture_categories())
+CATEGORIES = fixture_categories()
+SITES = fixture_sites(CATEGORIES)
+
+
+def _canonical(name):
+    C = CATEGORIES[name]
+    covers = canonical_pretopology(C)
+    return generate_topology(
+        C, {X: [list(f) for f in fams] for X, fams in covers.items()}, name=f"{name}_canonical"
+    )
+
+
+BEYOND_THE_CORPUS = {
+    "diamond_a_empty": generate_topology(CATEGORIES["diamond"], {"a": [[]]}, name="diamond_a_empty"),
+    "chain3_u_covers_t": generate_topology(
+        CATEGORIES["chain3"], {"t": [["u.t"]]}, name="chain3_u_covers_t"
+    ),
+    "span_canonical": _canonical("span"),
+    "parallel_canonical": _canonical("parallel"),
+    "z2_trivial": generate_topology(CATEGORIES["z2"], {}, name="z2_trivial"),
+}
+SITES.update(BEYOND_THE_CORPUS)
+# the sites whose bound-2 census fits in the flatness probe pool; on all
+# the others flatness is probed over the representables alone
+FULL_PROBE_POOL = {"arrow_trivial", "z2_trivial"}
 
 
 def _epsilon(name):
@@ -50,14 +93,41 @@ def test_epsilon_is_continuous_and_flat(name):
     site, eps = _epsilon(name)
     assert validate_handle_functor(eps).ok
     assert is_continuous(eps, site).ok
-    assert is_flat_bounded(eps).verdict == "verified-up-to-budget"
+    flat = is_flat_bounded(eps)
+    assert flat.verdict == "verified-up-to-budget"
     assert build_ell(eps, site).flatness.verdict == "verified-up-to-budget"
+    if name in FULL_PROBE_POOL:
+        assert flat.notes == ()
+    else:
+        reps = len(site.base.objects)
+        assert flat.notes == (
+            "presheaf census at value bound 2 has more than 20 members; "
+            f"the pool holds only the {reps} representables",
+        )
+
+
+def test_two_sites_beyond_the_corpus_are_not_subcanonical():
+    """There some representable is no sheaf, and its plus step passes it
+    through at some objects only: its unit there is its identity action."""
+    for name, site in BEYOND_THE_CORPUS.items():
+        C = site.base
+        partial = []
+        for X in C.objects:
+            h = yoneda_embed(C, X)
+            unit = plus_construction(h, site).unit.components
+            through = [Y for Y in C.objects if unit[Y] is h.actions[C.id_of(Y)]]
+            if len(through) < len(C.objects):
+                partial.append((X, through))
+        subcanonical = name not in ("diamond_a_empty", "chain3_u_covers_t")
+        assert is_subcanonical(site).value == subcanonical
+        assert (partial == []) == subcanonical
+        assert all(through for _, through in partial)
 
 
 @pytest.mark.parametrize("name", sorted(SITES))
 def test_the_inverse_image_of_epsilon_is_the_identity_on_sheaves(name):
     site, eps = _epsilon(name)
-    assert len(eps.cod.objects()) >= 10
+    assert len(eps.cod.objects()) >= (4 if name in BEYOND_THE_CORPUS else 10)
     assert _not_returned(eps, site) == []
 
 

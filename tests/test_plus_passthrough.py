@@ -1,12 +1,17 @@
-"""The plus construction's Yoneda pass-through against the full search.
+"""The plus construction's pass-through against the full search.
 
-At an object whose minimal covering sieve holds the identity, that sieve
-is maximal and Match(h_X, F) = F(X), so ``plus_construction`` passes F
-through there instead of searching matching families.  The routine below
-is the plus construction as it was before: it searches every minimal
-sieve and labels the classes.  It is kept here as the oracle.  Labels,
-tables, units, decode and encode, their dict orders included, and
-everything built on them must come out the same both ways.
+Wherever F(X) maps bijectively onto the matching families over the
+minimal sieve, ``plus_construction`` passes F through there and shares
+F's tables instead of relabeling every family; where the minimal sieve
+holds the identity it is maximal, Match(h_X, F) = F(X), and no search is
+made.  The routine below is the plus construction with neither shortcut:
+it searches every minimal sieve, labels the classes and builds every
+table anew.  It is kept here as the oracle.  Labels, tables, units,
+decode and encode, their dict orders included, and everything built on
+them must come out the same both ways, on sheaves, separated presheaves
+and tables in reversed order too.  A table the output shares with its
+input is the input's own object, so it must equal the oracle's table
+as it stands.
 """
 
 import pytest
@@ -26,6 +31,7 @@ from toposkit.site import (
     _restrictions,
     factor_through_unit,
     generate_topology,
+    is_sheaf,
     matching_families,
     plus_construction,
     sheafify,
@@ -230,3 +236,97 @@ def test_plus_matches_the_search_on_every_census_presheaf(name):
             assert plus_data(plus_construction(P, site)) == plus_data(
                 searched_plus_construction(P, site)
             )
+
+
+# ---------------------------------------------------------------------------
+# the bijective pass-through and the tables it shares
+
+
+def _site_and_census(draw):
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(SITES)))
+        return SITES[name], CENSUS[name]
+    site = draw(generated_sites())
+    return site, BASE_CENSUS[site.base.name]
+
+
+@st.composite
+def sites_and_inputs(draw):
+    """A fixture or generated site and a presheaf on it: a census member,
+    a census sheaf, the separated presheaf that one plus step makes of a
+    census member, or its sheafification; its tables reversed or not."""
+    site, census = _site_and_census(draw)
+    kind = draw(st.sampled_from(["census", "sheaf", "separated", "sheafified"]))
+    if kind == "sheaf":
+        census = [F for F in census if is_sheaf(F, site).ok]
+    F = draw(st.sampled_from(census))
+    if kind == "separated":
+        F = plus_construction(F, site).presheaf
+    elif kind == "sheafified":
+        F = sheafify(F, site).sheaf
+    if draw(st.booleans()):
+        F = reversed_tables(F)
+    return site, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(sites_and_inputs())
+def test_the_pass_through_matches_the_search_on_sheaves_and_separated_presheaves(case):
+    site, F = case
+    assert plus_data(plus_construction(F, site)) == plus_data(searched_plus_construction(F, site))
+    assert sheafify_data(sheafify(F, site)) == sheafify_data(searched_sheafify(F, site))
+
+
+def shared_tables(pr: PlusResult, F: Presheaf, site):
+    """The tables of one plus step on F that are F's own objects, each
+    with its place in the step's tables and in F's."""
+    P, C = pr.presheaf, site.base
+    out = [(("values", X), F.values[X]) for X in C.objects if P.values[X] is F.values[X]]
+    out += [(("actions", m), F.actions[m]) for m in P.actions if P.actions[m] is F.actions[m]]
+    out += [
+        (("components", X), F.actions[C.id_of(X)])
+        for X in C.objects
+        if pr.unit.components[X] is F.actions[C.id_of(X)]
+    ]
+    return out
+
+
+def step_tables(pr: PlusResult):
+    P = pr.presheaf
+    return {"values": P.values, "actions": P.actions, "components": pr.unit.components}
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_sheafifying_a_sheaf_returns_its_own_tables_and_the_identity(name):
+    site = SITES[name]
+    C = site.base
+    for F in CENSUS[name]:
+        S = sheafify(F, site).sheaf
+        again = sheafify(S, site)
+        assert again.sheaf.values is S.values and again.sheaf.actions is S.actions
+        for X in C.objects:
+            comp = again.unit.components[X]
+            assert comp is S.actions[C.id_of(X)]
+            assert ordered(comp) == [(x, x) for x in S.values[X]]
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_the_tables_a_non_sheaf_shares_equal_the_searched_ones(name):
+    site = SITES[name]
+    C = site.base
+    non_sheaves = shared = searched_objects = 0
+    for F in CENSUS[name]:
+        if is_sheaf(F, site).ok:
+            continue
+        non_sheaves += 1
+        pf, of = plus_construction(F, site), searched_plus_construction(F, site)
+        oracle = step_tables(of)
+        for (table, key), ours in shared_tables(pf, F, site):
+            assert ordered(ours) == ordered(oracle[table][key])
+            shared += 1
+            if table == "values":
+                searched_objects += C.id_of(key) not in site_plan(site).minimal[key].arrows
+    # a non-sheaf passes through at each object covered only by its maximal
+    # sieve, and on two_point_discrete at a searched object, top or bot, too
+    assert (shared > 0) == (non_sheaves > 0)
+    assert (searched_objects > 0) == (name == "two_point_discrete")
