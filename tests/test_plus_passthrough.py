@@ -242,20 +242,17 @@ def test_plus_matches_the_search_on_every_census_presheaf(name):
 # the bijective pass-through and the tables it shares
 
 
-def _site_and_census(draw):
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(sorted(SITES)))
-        return SITES[name], CENSUS[name]
-    site = draw(generated_sites())
-    return site, BASE_CENSUS[site.base.name]
-
-
 @st.composite
 def sites_and_inputs(draw):
     """A fixture or generated site and a presheaf on it: a census member,
     a census sheaf, the separated presheaf that one plus step makes of a
     census member, or its sheafification; its tables reversed or not."""
-    site, census = _site_and_census(draw)
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(SITES)))
+        site, census = SITES[name], CENSUS[name]
+    else:
+        site = draw(generated_sites())
+        census = BASE_CENSUS[site.base.name]
     kind = draw(st.sampled_from(["census", "sheaf", "separated", "sheafified"]))
     if kind == "sheaf":
         census = [F for F in census if is_sheaf(F, site).ok]
