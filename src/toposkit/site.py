@@ -613,7 +613,7 @@ def plus_on_morphism(site: Site, pf: PlusResult, pg: PlusResult, t: PresheafMorp
 
 @dataclass
 class SheafificationResult:
-    """Two plus steps and the composite unit."""
+    """Two plus steps and the unit F -> aF."""
 
     sheaf: Presheaf
     unit: PresheafMorphism
@@ -622,19 +622,16 @@ class SheafificationResult:
 
 
 def sheafify(F: Presheaf, site: Site) -> SheafificationResult:
-    """Two plus steps.  The unit is composed object by object, and is the
-    first step's component wherever the second step passed through."""
+    """Two plus steps.  The unit is the first step's: F+ is separated, so
+    the second step labels every class by its one preimage and its unit is
+    the identity on labels."""
     p1 = plus_construction(F, site)
     p2 = plus_construction(p1.presheaf, site)
     sheaf = Presheaf(
         p2.presheaf.base, p2.presheaf.values, p2.presheaf.actions,
         f"a({F.name})" if F.name else "a(F)",
     )
-    ids, comps = p1.presheaf.actions, {}
-    for X, c1 in p1.unit.components.items():
-        c2 = p2.unit.components[X]
-        comps[X] = c1 if c2 is ids[site.base.id_of(X)] else {x: c2[c1[x]] for x in c1}
-    return SheafificationResult(sheaf, PresheafMorphism(F, sheaf, comps), p1, p2)
+    return SheafificationResult(sheaf, PresheafMorphism(F, sheaf, p1.unit.components), p1, p2)
 
 
 def sheafify_morphism(
