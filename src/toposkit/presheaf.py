@@ -54,9 +54,11 @@ class Presheaf:
 
     ``actions[f]`` maps each element of values[tgt f] to an element of
     values[src f]; the table covers every morphism, identities included.
-    Constructions share tables: the plus construction and sheafification
-    hand on their input's value tuples, action dicts and identity actions
-    as their own, so no table may be mutated once it is in a presheaf.
+    Presheaves share tables: census presheaves share value tuples,
+    ``values`` dicts and action dicts with each other, and the plus
+    construction and sheafification hand on their input's value tuples,
+    action dicts and identity actions as their own, so no table may be
+    mutated once it is in a presheaf.
     """
 
     base: FinCategory
@@ -637,10 +639,9 @@ def density_check(F: Presheaf) -> DensityReport:
 # bounded enumeration of presheaves
 
 
-def enumerate_presheaves(
-    C: FinCategory, bound: int, *, max_count: Optional[int] = None
-) -> list[Presheaf]:
-    """Every presheaf with value sets of size <= bound, canonically labeled.
+def iter_presheaves(C: FinCategory, bound: int) -> Iterator[Presheaf]:
+    """Every presheaf with value sets of size <= bound, canonically labeled,
+    yielded one at a time as the search finds it.
 
     Value labels are e0, e1, ... per object.  The search variables are the
     value-set sizes, objects in sorted order, then the identity actions,
@@ -649,7 +650,11 @@ def enumerate_presheaves(
     a composite of two earlier non-identities, has a one-value domain; the
     remaining composition laws are checked pointwise at their latest
     arrow.  Results come in lexicographic order of that variable sequence.
-    Raises rather than truncates when max_count is exceeded.
+
+    The presheaves of one call share their tables: one value tuple per
+    size, one ``values`` dict per size vector and one action dict per
+    action tuple, each built the first time it occurs.  A caller that
+    reads the census once, in order, holds one presheaf at a time.
     """
     objs = sorted(C.objects)
     mors = sorted(C.non_identities())
@@ -683,16 +688,37 @@ def enumerate_presheaves(
         return True
 
     labels = [f"e{k}" for k in range(bound + 1)]
-    results: list[Presheaf] = []
+    value_tuples = [tuple(labels[:k]) for k in range(bound + 1)]
+    value_dicts: dict[tuple, dict[str, tuple[str, ...]]] = {}
+    action_dicts: dict[tuple[int, ...], dict[str, str]] = {}
     for sol in backtrack(domains, ok):
+        sizes = sol[:n]
+        values = value_dicts.get(sizes)
+        if values is None:
+            values = value_dicts[sizes] = {x: value_tuples[k] for x, k in zip(objs, sizes)}
+        actions = {}
+        for m, t in zip(names, sol[n:]):
+            act = action_dicts.get(t)
+            if act is None:
+                act = action_dicts[t] = {labels[k]: labels[v] for k, v in enumerate(t)}
+            actions[m] = act
+        yield Presheaf(C, values, actions)
+
+
+def enumerate_presheaves(
+    C: FinCategory, bound: int, *, max_count: Optional[int] = None
+) -> list[Presheaf]:
+    """The census of ``iter_presheaves`` as a list, in the same order and
+    with the same shared tables.
+
+    Raises rather than truncates when max_count is exceeded, so a caller
+    never holds part of a census.
+    """
+    results: list[Presheaf] = []
+    for F in iter_presheaves(C, bound):
         if max_count is not None and len(results) >= max_count:
             raise ResourceBudgetError("enumerate_presheaves", len(results) + 1, max_count)
-        values = {x: tuple(labels[: sol[k]]) for k, x in enumerate(objs)}
-        actions = {
-            m: {labels[k]: labels[v] for k, v in enumerate(t)}
-            for m, t in zip(names, sol[n:])
-        }
-        results.append(Presheaf(C, values, actions))
+        results.append(F)
     return results
 
 

@@ -21,6 +21,8 @@ comparison is kept in the test suite as an oracle.  Wherever F(X) maps
 bijectively onto those classes, as at every object of a sheaf, the plus
 construction passes F through and shares F's tables instead of copying
 them; an object whose minimal sieve is maximal needs no search for that.
+When F passes through at every object, F is a sheaf and sheafification
+builds its second step from the first one's tables, with no search.
 
 Both sheaf checks and the plus construction read a ``SitePlan`` instead
 of re-deriving the site on every call: the minimal and the covering
@@ -513,12 +515,15 @@ class PlusResult:
     and the presheaf and unit may share F's own tables there.
     ``decode`` recovers the family tuple behind a label, ``encode``
     inverts it; both list the classes in sorted-family order.
+    ``through_all`` says that F passed through at every object, so the
+    unit is an isomorphism.
     """
 
     presheaf: Presheaf
     unit: PresheafMorphism
     decode: Mapping[str, Mapping[str, tuple[str, ...]]]
     encode: Mapping[str, Mapping[tuple[str, ...], str]]
+    through_all: bool = False
 
 
 def plus_construction(F: Presheaf, site: Site) -> PlusResult:
@@ -588,7 +593,7 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
     plus = Presheaf(C, _shared(values, F.values), _shared(actions, F.actions),
                     f"{F.name}+" if F.name else "+")
     unit = PresheafMorphism(F, plus, unit_comps)
-    return PlusResult(plus, unit, decode, encode)
+    return PlusResult(plus, unit, decode, encode, len(through) == len(C.objects))
 
 
 def _shared(new: dict, old: Mapping) -> Mapping:
@@ -624,9 +629,22 @@ class SheafificationResult:
 def sheafify(F: Presheaf, site: Site) -> SheafificationResult:
     """Two plus steps.  The unit is the first step's: F+ is separated, so
     the second step labels every class by its one preimage and its unit is
-    the identity on labels."""
+    the identity on labels.
+
+    When the first step passed F through at every object, F+ has F's
+    restriction families, so a second search would find the same
+    bijections: the second step is then built from the first one's
+    tables, decode and encode, with F+'s identity actions as its unit.
+    """
     p1 = plus_construction(F, site)
-    p2 = plus_construction(p1.presheaf, site)
+    P = p1.presheaf
+    if p1.through_all:
+        C = site.base
+        again = Presheaf(C, P.values, P.actions, f"{P.name}+")
+        ident = {X: P.actions[C.id_of(X)] for X in C.objects}
+        p2 = PlusResult(again, PresheafMorphism(P, again, ident), p1.decode, p1.encode, True)
+    else:
+        p2 = plus_construction(P, site)
     sheaf = Presheaf(
         p2.presheaf.base, p2.presheaf.values, p2.presheaf.actions,
         f"a({F.name})" if F.name else "a(F)",

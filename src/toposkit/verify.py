@@ -62,10 +62,10 @@ from .presheaf import (
     constant_presheaf,
     density_check,
     enumerate_presheaf_morphisms,
-    enumerate_presheaves,
     finset_category,
     finset_map,
     finset_obj,
+    iter_presheaves,
     make_presheaf,
     presheaf_category,
     short_key,
@@ -723,7 +723,7 @@ def _suite_I(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None
     rec.note(f"exhaustive presheaf census at value bound {bound}")
     C = corpus.categories[cname]
     reps = {X: yoneda_embed(C, X) for X in C.objects}
-    for F in enumerate_presheaves(C, bound):
+    for F in iter_presheaves(C, bound):
         for X in C.objects:
             nats = enumerate_presheaf_morphisms(reps[X], F)
             rec.check(
@@ -772,7 +772,7 @@ def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
     )
     C = corpus.categories[cname]
     seen = set()
-    for F in enumerate_presheaves(C, budget.density_bound):
+    for F in iter_presheaves(C, budget.density_bound):
         seen.add(short_key(F))
         d = density_check(F)
         rec.check(

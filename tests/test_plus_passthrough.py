@@ -17,6 +17,7 @@ as it stands.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toposkit import site as site_module
 from toposkit.errors import FactorizationError
 from toposkit.presheaf import (
     Presheaf,
@@ -305,6 +306,23 @@ def test_sheafifying_a_sheaf_returns_its_own_tables_and_the_identity(name):
             comp = again.unit.components[X]
             assert comp is S.actions[C.id_of(X)]
             assert ordered(comp) == [(x, x) for x in S.values[X]]
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_sheafifying_a_sheaf_searches_each_object_once(name, monkeypatch):
+    # the first step passes a sheaf through everywhere, so the second
+    # step reuses its tables instead of searching the same families again
+    site = SITES[name]
+    searched = len(site.base.objects) - len(passing_through(site))
+    sheaves = [sheafify(F, site).sheaf for F in CENSUS[name]]
+    calls = []
+    real = site_module.matching_families
+    monkeypatch.setattr(
+        site_module, "matching_families", lambda sp, F: calls.append(sp) or real(sp, F)
+    )
+    results = [sheafify(S, site) for S in sheaves]
+    assert len(calls) == searched * len(sheaves)
+    assert all(r.stage1.through_all and r.stage2.through_all for r in results)
 
 
 @pytest.mark.parametrize("name", sorted(SITES))

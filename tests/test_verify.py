@@ -341,14 +341,14 @@ def test_suite_all_reports_the_same_on_workers_and_leaves_none(monkeypatch):
 
 def test_a_budget_refusal_on_a_worker_reaches_the_caller(monkeypatch):
     _workers(monkeypatch, 2)
-    real = verify.enumerate_presheaves
+    real = verify.iter_presheaves
 
     def refusing(C, bound, **kwargs):
         if C.name == "diamond":
             raise ResourceBudgetError(f"census in {os.getpid()}", 7, 3)
         return real(C, bound, **kwargs)
 
-    monkeypatch.setattr(verify, "enumerate_presheaves", refusing)
+    monkeypatch.setattr(verify, "iter_presheaves", refusing)
     with pytest.raises(ResourceBudgetError) as info:
         suite_all(corpus_generate(0, "small"), "small")
     # raised on a worker, with its fields intact
@@ -360,7 +360,7 @@ def test_a_budget_refusal_on_a_worker_reaches_the_caller(monkeypatch):
 
 def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
     _workers(monkeypatch, 2)
-    real = verify.enumerate_presheaves
+    real = verify.iter_presheaves
     parent = os.getpid()
 
     def dying(C, bound, **kwargs):
@@ -368,7 +368,7 @@ def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
             os._exit(3)
         return real(C, bound, **kwargs)
 
-    monkeypatch.setattr(verify, "enumerate_presheaves", dying)
+    monkeypatch.setattr(verify, "iter_presheaves", dying)
     threads = threading.active_count()
     with pytest.raises(ChildProcessError):
         run_theorem_suite("I", corpus_generate(0, "small"), "small")
@@ -400,7 +400,7 @@ def test_one_unit_and_threaded_callers_run_in_process(monkeypatch):
     pids = _call_pids(monkeypatch, verify, "eta_iso")
     run_theorem_suite("III", CORPUS, "small")
     assert len(pids) == len(CORPUS.functors) and set(pids) == {os.getpid()}
-    pids = _call_pids(monkeypatch, verify, "enumerate_presheaves")
+    pids = _call_pids(monkeypatch, verify, "iter_presheaves")
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
@@ -461,7 +461,7 @@ def test_suites_II_IV_V_report_the_same_on_workers(monkeypatch, theorem, seed, b
 
 @pytest.mark.parametrize(
     "theorem, probe",
-    [("I", "enumerate_presheaves"), ("II", "density_check"), ("IV", "adjunction_phi"),
+    [("I", "iter_presheaves"), ("II", "density_check"), ("IV", "adjunction_phi"),
      ("V", "is_flat_setvalued")],
 )
 def test_suites_I_II_IV_V_run_on_the_workers(monkeypatch, theorem, probe):
