@@ -64,6 +64,7 @@ from .presheaf import (
     PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
+    is_presheaf_iso,
     presheaf_limit,
     yoneda_embed,
     yoneda_on_mor,
@@ -515,15 +516,12 @@ class PlusResult:
     and the presheaf and unit may share F's own tables there.
     ``decode`` recovers the family tuple behind a label, ``encode``
     inverts it; both list the classes in sorted-family order.
-    ``through_all`` says that F passed through at every object, so the
-    unit is an isomorphism.
     """
 
     presheaf: Presheaf
     unit: PresheafMorphism
     decode: Mapping[str, Mapping[str, tuple[str, ...]]]
     encode: Mapping[str, Mapping[tuple[str, ...], str]]
-    through_all: bool = False
 
 
 def plus_construction(F: Presheaf, site: Site) -> PlusResult:
@@ -593,7 +591,7 @@ def plus_construction(F: Presheaf, site: Site) -> PlusResult:
     plus = Presheaf(C, _shared(values, F.values), _shared(actions, F.actions),
                     f"{F.name}+" if F.name else "+")
     unit = PresheafMorphism(F, plus, unit_comps)
-    return PlusResult(plus, unit, decode, encode, len(through) == len(C.objects))
+    return PlusResult(plus, unit, decode, encode)
 
 
 def _shared(new: dict, old: Mapping) -> Mapping:
@@ -631,18 +629,19 @@ def sheafify(F: Presheaf, site: Site) -> SheafificationResult:
     the second step labels every class by its one preimage and its unit is
     the identity on labels.
 
-    When the first step passed F through at every object, F+ has F's
-    restriction families, so a second search would find the same
-    bijections: the second step is then built from the first one's
+    The first unit is an isomorphism exactly where the first step passed
+    F through, and one that is an isomorphism everywhere makes F a sheaf.
+    Then F+ has F's restriction families, and a second search would find
+    the same bijections: the second step is built from the first one's
     tables, decode and encode, with F+'s identity actions as its unit.
     """
     p1 = plus_construction(F, site)
     P = p1.presheaf
-    if p1.through_all:
+    if is_presheaf_iso(p1.unit):
         C = site.base
         again = Presheaf(C, P.values, P.actions, f"{P.name}+")
         ident = {X: P.actions[C.id_of(X)] for X in C.objects}
-        p2 = PlusResult(again, PresheafMorphism(P, again, ident), p1.decode, p1.encode, True)
+        p2 = PlusResult(again, PresheafMorphism(P, again, ident), p1.decode, p1.encode)
     else:
         p2 = plus_construction(P, site)
     sheaf = Presheaf(

