@@ -110,7 +110,6 @@ def test_suite_I_holds_few_census_presheaves_at_once(monkeypatch):
             made += 1
             most = max(most, alive)
             yield F
-            del F
 
     monkeypatch.setattr(verify, "iter_presheaves", watched)
     rec = verify._Recorder()
