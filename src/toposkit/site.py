@@ -22,7 +22,9 @@ bijectively onto those classes, as at every object of a sheaf, the plus
 construction passes F through and shares F's tables instead of copying
 them; an object whose minimal sieve is maximal needs no search for that.
 When F passes through at every object, F is a sheaf and sheafification
-builds its second step from the first one's tables, with no search.
+builds its second step from the first one's tables, with no search.  So
+a sheaf T is aT under its own labels, and a map t: F -> T factors through
+the unit of F as a(t) read into T.
 
 Both sheaf checks and the plus construction read a ``SitePlan`` instead
 of re-deriving the site on every call: the minimal and the covering
@@ -412,14 +414,6 @@ def _restrictions(F: Presheaf, X: str, arrows: Sequence[str]) -> list[tuple[str,
     return [tuple([r[x] for r in rows]) for x in F.values[X]]
 
 
-def _amalgamations(F: Presheaf, X: str, arrows: Sequence[str]) -> dict[tuple[str, ...], list[str]]:
-    """The elements of F(X) grouped by their restrictions along arrows."""
-    out: dict[tuple[str, ...], list[str]] = {}
-    for x, fam in zip(F.values[X], _restrictions(F, X, arrows)):
-        out.setdefault(fam, []).append(x)
-    return out
-
-
 def is_sheaf(F: Presheaf, site: Site) -> CheckReport:
     """Sieve-form sheaf condition over the saturated topology.
 
@@ -483,7 +477,10 @@ def is_sheaf_coverform(F: Presheaf, site: Site) -> CheckReport:
                         return False
                 return True
 
-            amalgamations = _amalgamations(F, X, cp.fam)
+            # the elements of F(X) grouped by their restrictions to the cover
+            amalgamations: dict[tuple[str, ...], list[str]] = {}
+            for x, fam in zip(F.values[X], _restrictions(F, X, cp.fam)):
+                amalgamations.setdefault(fam, []).append(x)
             for tup in backtrack([F.values[Y] for Y in cp.sources], ok):
                 hits = amalgamations.get(tup, [])
                 if len(hits) != 1:
@@ -659,37 +656,19 @@ def sheafify_morphism(
     return PresheafMorphism(rf.sheaf, rg.sheaf, t2.components)
 
 
-def _plus_factor(site: Site, pr: PlusResult, T: Presheaf, t: PresheafMorphism) -> PresheafMorphism:
-    """Extend t: F -> T through F-plus when T is a sheaf.
-
-    Each class is a matching family over the minimal sieve; pushing it into
-    T gives a matching family there, whose unique amalgamation is the value.
-    """
-    plan = site_plan(site)
-    comps: dict[str, dict[str, str]] = {}
-    for X in site.base.objects:
-        sp = plan.minimal[X]
-        amalgamations = _amalgamations(T, X, sp.arrows)
-        comp: dict[str, str] = {}
-        for label in pr.presheaf.values[X]:
-            hits = amalgamations.get(_push(t, sp, pr.decode[X][label]), [])
-            if len(hits) != 1:
-                raise FactorizationError(
-                    f"plus factoring through a non-sheaf target at {X}: "
-                    f"{len(hits)} amalgamations"
-                )
-            comp[label] = hits[0]
-        comps[X] = comp
-    return PresheafMorphism(pr.presheaf, T, comps)
-
-
 def factor_through_unit(
     site: Site, res: SheafificationResult, T: Presheaf, t: PresheafMorphism
 ) -> PresheafMorphism:
-    """The unique u with u . unit = t, for T a sheaf and t: F -> T."""
-    u1 = _plus_factor(site, res.stage1, T, t)
-    u2 = _plus_factor(site, res.stage2, T, u1)
-    return PresheafMorphism(res.sheaf, T, u2.components)
+    """The unique u with u . unit = t, for T a sheaf and t: F -> T.
+
+    u is a(t) read into T: T's unit is an isomorphism exactly when T is a
+    sheaf, and the plus steps then pass T through with the identity on
+    labels, so aT is T under T's own labels.  Any other T is refused.
+    """
+    rT = sheafify(T, site)
+    if not is_presheaf_iso(rT.unit):
+        raise FactorizationError(f"factoring through the unit into a non-sheaf {T.name!r}")
+    return PresheafMorphism(res.sheaf, T, sheafify_morphism(site, res, rT, t).components)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,12 +1010,8 @@ def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> Presh
     )
     post = presheaf_limit(sheaf_diagram, site.base)
     apex_res = sheafify(pre.apex, site)
-    legs = {
-        j: compose_presheaf_morphisms(node_res[j].unit, pre.legs[j]) for j in diagram.obs
-    }
     lifted = {
-        j: factor_through_unit(site, apex_res, node_res[j].sheaf, legs[j])
-        for j in diagram.obs
+        j: sheafify_morphism(site, apex_res, node_res[j], pre.legs[j]) for j in diagram.obs
     }
     return post.factor(apex_res.sheaf, lifted)
 

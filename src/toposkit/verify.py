@@ -1255,7 +1255,7 @@ def _controls(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         {"control": "no common source over the two points", "detail": "claimed cofiltered"},
     )
     rec.check(
-        is_flat_bounded(wedge.functor).verdict == "counterexample",
+        is_flat_bounded(wedge.functor, **flat_knobs(budget)).verdict == "counterexample",
         {"control": "no common source over the two points", "detail": "no counterexample"},
     )
 

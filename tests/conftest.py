@@ -80,3 +80,20 @@ def epsilon_handle_functor(site: Site, cod: SheafCategory) -> HandleFunctor:
         {X: epsilon(site, X) for X in C.objects},
         {m: epsilon_on_mor(site, m) for m in C.non_identities()},
     )
+
+
+def swapped_legs(eps: HandleFunctor) -> HandleFunctor:
+    """A functor on the diamond precomposed with its a <-> b symmetry."""
+    swap = {"bot": "bot", "a": "b", "b": "a", "top": "top"}
+
+    def swapped_mor(m):
+        x, y = m.split(".")
+        return f"{swap[x]}.{swap[y]}"
+
+    return HandleFunctor(
+        "epsilon_swapped",
+        eps.dom,
+        eps.cod,
+        {X: eps.obj_map[swap[X]] for X in eps.dom.objects},
+        {m: eps.mor_map[swapped_mor(m)] for m in eps.dom.non_identities()},
+    )

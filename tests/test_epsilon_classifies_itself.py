@@ -31,7 +31,7 @@ site here but arrow_trivial and z2, and the flatness test pins it.
 
 import pytest
 
-from toposkit.fincat import HandleFunctor, validate_handle_functor
+from toposkit.fincat import validate_handle_functor
 from toposkit.kan import build_ell, is_flat_bounded, tilde_extend_mor
 from toposkit.presheaf import validate_presheaf_morphism, yoneda_backward, yoneda_embed
 from toposkit.site import (
@@ -46,7 +46,7 @@ from toposkit.site import (
 )
 from toposkit.verify import fixture_categories, fixture_sites
 
-from conftest import epsilon_handle_functor
+from conftest import epsilon_handle_functor, swapped_legs
 
 CATEGORIES = fixture_categories()
 SITES = fixture_sites(CATEGORIES)
@@ -133,19 +133,7 @@ def test_the_inverse_image_of_epsilon_is_the_identity_on_sheaves(name):
 
 def test_epsilon_with_swapped_legs_fails_the_identity_check():
     site, eps = _epsilon("two_point_discrete")
-    swap = {"bot": "bot", "a": "b", "b": "a", "top": "top"}
-
-    def swapped_mor(m):
-        x, y = m.split(".")
-        return f"{swap[x]}.{swap[y]}"
-
-    swapped = HandleFunctor(
-        "epsilon_swapped",
-        eps.dom,
-        eps.cod,
-        {X: eps.obj_map[swap[X]] for X in eps.dom.objects},
-        {m: eps.mor_map[swapped_mor(m)] for m in eps.dom.non_identities()},
-    )
+    swapped = swapped_legs(eps)
     assert validate_handle_functor(swapped).ok
     assert is_continuous(swapped, site).ok
     lopsided = [F for F in eps.cod.objects() if len(F.values["a"]) != len(F.values["b"])]

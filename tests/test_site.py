@@ -538,6 +538,28 @@ def test_factor_through_unit_refuses_non_sheaf_targets():
         factor_through_unit(DISC, res, F, presheaf_identity(F))
 
 
+def test_factor_through_unit_refuses_a_non_sheaf_target_the_amalgamation_walk_accepted():
+    # T is one point below top and empty at top, so the family (e0, e0)
+    # over the cover of top has no amalgamation.  A map out of the empty
+    # presheaf never pushes a family there: a(0) is one point p0 at bot,
+    # over the empty cover, and a walk over the pushed families alone
+    # factored it as p0 -> e0.  T is no sheaf, so there is nothing to factor.
+    C = DISC.base
+    F = constant_presheaf(C, [], name="0")
+    T = make_presheaf(
+        C,
+        {"bot": ["e0"], "a": ["e0"], "b": ["e0"]},
+        {"bot.a": {"e0": "e0"}, "bot.b": {"e0": "e0"}, "a.top": {}, "b.top": {}, "bot.top": {}},
+        name="T",
+    )
+    assert not is_sheaf(T, DISC).ok
+    (t,) = enumerate_presheaf_morphisms(F, T)
+    res = sheafify(F, DISC)
+    assert res.sheaf.values == {"bot": ("p0",), "a": (), "b": (), "top": ()}
+    with pytest.raises(FactorizationError):
+        factor_through_unit(DISC, res, T, t)
+
+
 def test_sheafify_morphism_is_natural_in_the_unit():
     F = constant_presheaf(DISC.base, ["x", "y"], name="K2")
     G = yoneda_embed(DISC.base, "top")

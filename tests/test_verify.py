@@ -239,6 +239,14 @@ def test_flat_verdicts_outlive_the_run():
     assert "wedge_diamond" in flat and "const_point_diamond" in flat
 
 
+def test_the_controls_probe_flatness_at_the_run_budget():
+    # the controls, like suites V to VII, read the profile's flatness knobs
+    corpus = corpus_generate(0, "small")
+    suite_all(corpus, "small")
+    wedge = next(fx for fx in corpus.functors if fx.name == "wedge_diamond")
+    assert list(wedge.functor._flat) == [(6, 10)]
+
+
 def _raising(real, corpus, seen):
     """``real``, then a note of the memos held, then an exception."""
 

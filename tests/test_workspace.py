@@ -5,17 +5,22 @@ categories and sites the verification corpus is built from, and any
 parsed workspace must survive print-then-parse unchanged.
 """
 
+import json
+
 import pytest
 
+from toposkit.cli import main
 from toposkit.errors import WorkspaceParseError
 from toposkit.site import is_continuous, is_sheaf
-from toposkit.verify import fixture_categories, fixture_sites
+from toposkit.verify import corpus_generate, fixture_categories, fixture_sites
 from toposkit.workspace import (
     Workspace,
     parse_workspace,
     parse_workspace_text,
     print_workspace,
 )
+
+from conftest import ordered
 
 FIXTURE_FILE = "fixtures/corpus.ws"
 
@@ -29,6 +34,36 @@ category arrow
     s.t : s -> t
 
 handle fin = presheaves on one bound 2
+"""
+
+# the corpus functor segment_collapse: s goes to h_s, t to the terminal
+# presheaf, and s.t to the map that collapses h_s onto it
+SEGMENT_WS = """
+category arrow
+  objects s t
+  morphisms
+    s.t : s -> t
+
+presheaf h_s on arrow
+  values
+    s = id_s
+    t =
+
+presheaf terminal on arrow
+  values
+    s = ()
+    t = ()
+  actions
+    s.t : () -> ()
+
+handle psharrow = presheaves on arrow bound 3
+
+functor segment_collapse from arrow into psharrow
+  objects
+    s = presheaf h_s
+    t = presheaf terminal
+  maps
+    s.t @ s : id_s -> ()
 """
 
 
@@ -187,6 +222,22 @@ functor p from arrow into fin
     assert any("not an element of the target" in e.reason for e in errs)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (SEGMENT_WS + "    s.t @ u : id_s -> ()\n", "unknown handle-base object 'u'"),
+        # h_s is empty at t, so id_s is no element of the source there
+        (
+            SEGMENT_WS + "    s.t @ t : id_s -> ()\n",
+            "'id_s' is not an element of the source of 's.t' at t",
+        ),
+    ],
+)
+def test_a_bad_map_line_of_a_presheaf_valued_functor_is_located(text, reason):
+    last = len(text.splitlines())
+    assert _located(_errors(text)) == [(last, "segment_collapse", reason)]
+
+
 def test_inline_values_need_one_point_base():
     errs = _errors(
         """
@@ -284,6 +335,26 @@ def test_shipped_functors_behave_like_their_corpus_twins():
     assert not is_continuous(ws.functor("const_point"), disc).ok
     seg = ws.functor("segment_stalk")
     assert seg.obj_map["*"] is ws.presheaves["h_s"]
+
+
+def test_a_functor_into_presheaves_on_a_base_with_arrows(tmp_path, capsys):
+    ws = parse_workspace_text(SEGMENT_WS)
+    path = tmp_path / "segment.ws"
+    path.write_text(SEGMENT_WS)
+    assert main(["validate", "--input", str(path), "--report", "json"]) == 0
+    entities = json.loads(capsys.readouterr().out)["result"]["entities"]
+    assert [e["ok"] for e in entities if e["kind"] == "functor"] == [True]
+    text = print_workspace(ws)
+    assert parse_workspace_text(text) == ws
+    assert print_workspace(parse_workspace_text(text)) == text
+    got = ws.functor("segment_collapse")
+    want = next(
+        fx.functor for fx in corpus_generate(0, "small").functors if fx.name == "segment_collapse"
+    )
+    for X in want.dom.objects:
+        assert ordered(got.obj_map[X].values) == ordered(want.obj_map[X].values)
+        assert ordered(got.obj_map[X].actions) == ordered(want.obj_map[X].actions)
+    assert ordered(got.mor_map["s.t"].components) == ordered(want.mor_map["s.t"].components)
 
 
 def test_materialized_handles_are_cached():
