@@ -50,7 +50,6 @@ from .fincat import (
 )
 from .presheaf import (
     Presheaf,
-    PresheafCategory,
     PresheafMorphism,
     category_of_elements,
     element_node,
@@ -286,16 +285,6 @@ def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
 # comparison maps for exactness
 
 
-def extension_terminal_comparison(p: HandleFunctor) -> Mor:
-    """The unique map extension(terminal presheaf) -> terminal of Z."""
-    C = p.dom
-    Z = p.cod
-    one = PresheafCategory(C, 1).terminal()
-    value = tilde_extend(p, one)
-    empty = HandleDiagram(discrete_category("none", []), {}, {})
-    return Z.limit(empty).factor(value.obj, {})
-
-
 def extension_limit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
     """The canonical map extension(lim D) -> lim(extension of D)."""
     Z = p.cod
@@ -449,7 +438,8 @@ def _flat_verdict(p: HandleFunctor, max_probes: int, max_pool: int) -> FlatVerdi
     Z = p.cod
     notes: tuple[str, ...] = ()
     instances = 1
-    if not Z.is_iso(extension_terminal_comparison(p)):
+    no_objects = HandleDiagram(discrete_category("none", []), {}, {})
+    if not Z.is_iso(extension_limit_comparison(p, no_objects)):
         return FlatVerdict(
             "counterexample",
             {"shape": "terminal", "detail": "extension of the terminal presheaf is not terminal"},

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -770,18 +771,8 @@ def _suite_II(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
         f"exhaustive census at value bound {budget.density_bound} "
         "plus the corpus presheaf samples"
     )
-    C = corpus.categories[cname]
-    seen = set()
-    for F in iter_presheaves(C, budget.density_bound):
-        seen.add(short_key(F))
-        d = density_check(F)
-        rec.check(
-            d.ok,
-            lambda: {"category": cname, "presheaf": short_key(F), "detail": d.detail},
-        )
-    for F in corpus.presheaves[cname]:
-        if short_key(F) in seen:
-            continue
+    census = iter_presheaves(corpus.categories[cname], budget.density_bound)
+    for F in itertools.chain(census, corpus.presheaves[cname]):
         d = density_check(F)
         rec.check(
             d.ok,
@@ -849,12 +840,14 @@ def _suite_III(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         )
 
 
-def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, start: int, stop: int) -> None:
-    """Suite IV on the functors ``corpus.functors[start:stop]``, and its
-    currying pin after the last slice; the suite is contiguous functor
-    slices.  Instances skipped for their pool size are counted in
-    ``rec.skipped``."""
-    for fx in corpus.functors[start:stop]:
+def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None:
+    """Suite IV on the functors of one base category, in roster order, and
+    its currying pin after the last category; the suite is one unit per
+    category, in sorted order.  Instances skipped for their pool size are
+    counted in ``rec.skipped``."""
+    for fx in corpus.functors:
+        if fx.base != cname:
+            continue
         p = fx.functor
         Z = p.cod
         rng = random.Random(f"{corpus.seed}:IV:{fx.name}")
@@ -950,7 +943,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, start: int, stop: 
                                     "detail": "transpose not natural in the codomain",
                                 },
                             )
-    if stop == len(corpus.functors):
+    if cname == max(corpus.categories):
         _currying_pin(corpus, rec)
 
 
@@ -980,11 +973,11 @@ def flat_knobs(budget: Budget) -> dict:
     }
 
 
-def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder, start: int, stop: int) -> None:
-    """Suite V on the functors ``corpus.functors[start:stop]``; the suite
-    is contiguous functor slices."""
-    for fx in corpus.functors[start:stop]:
-        if fx.codomain != "finset":
+def _suite_V(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> None:
+    """Suite V on the functors of one base category, in roster order; the
+    suite is one unit per category, in sorted order."""
+    for fx in corpus.functors:
+        if fx.base != cname or fx.codomain != "finset":
             continue
         p = fx.functor
         setwise = is_flat_setvalued(p)
@@ -1072,7 +1065,8 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
         # flatness the image of a cover can be strictly epimorphic while
         # the sieve-level matching condition still fails (the wedge over
         # the two-point cover is the standing example)
-        if is_flat_setvalued(p).ok:
+        flat = is_flat_setvalued(p).ok
+        if flat:
             rec.check(
                 cont.ok == all_sheaf,
                 lambda: {
@@ -1090,7 +1084,7 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             ell = build_ell(p, site, **flat_knobs(budget))
         except ConstructionRefused:
             rec.check(
-                not is_flat_setvalued(p).ok,
+                not flat,
                 lambda: {"fixture": fx.name, "detail": "refused although elements cofiltered"},
             )
             continue
@@ -1292,9 +1286,8 @@ _SUITES = {
 # the runner: units on worker processes, recorders merged in unit order
 
 # a unit: the suite id ("controls" for the negative controls) and the
-# extra arguments of its body: the category name for suites I and II, a
-# (start, stop) slice of the functors for suites IV and V, and none for
-# the others
+# extra arguments of its body: the category name for suites I, II, IV
+# and V, and none for the others
 _Unit = tuple[str, tuple]
 
 
@@ -1310,9 +1303,6 @@ def _run_unit(corpus: Corpus, budget: Budget, unit: _Unit) -> tuple[_Recorder, l
 
 # the corpus and budget of the run, set in each worker when it starts
 _WORKER_RUN: tuple = ()
-# functor slices of suites IV and V per worker: enough for the workers to
-# even out, few enough that the pool's cost per unit stays small
-_SLICES_PER_WORKER = 4
 
 
 def _init_worker(corpus: Corpus, budget: Budget) -> None:
@@ -1364,29 +1354,22 @@ def _map_units(
     return list(map(functools.partial(_run_unit, corpus, budget), units))
 
 
-def _functor_slices(corpus: Corpus) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) slices of ``corpus.functors``: one when
-    there is one worker, else ``_SLICES_PER_WORKER`` per worker."""
-    n = len(corpus.functors)
-    workers = _worker_count(n)
-    k = min(n, workers * _SLICES_PER_WORKER) if workers > 1 else 1
-    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
-
-
 def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteReport]:
-    """The reports of ``theorems``, in order.  Suites I and II run as one
-    unit per category, suites IV and V as functor slices, and every other
-    suite and the controls as one unit each.  A suite's recorders merge
-    in unit order, so its checks, witnesses and notes are those of one
-    serial run.  The run is one memo scope: ``_memo`` and ``_hom_memo``
-    live until it ends, ``_flat`` outlives it, and on workers the pool's
-    end drops the memos.  The units' ``_flat`` verdicts go into the
-    caller's in unit order, so a run on workers leaves the memo a serial
-    run would."""
+    """The reports of ``theorems``, in order.  Suites I, II, IV and V run
+    as one unit per base category, in sorted order, and every other suite
+    and the controls as one unit each, so the units depend on the corpus
+    alone.  A suite's recorders merge in unit order, so its checks,
+    witnesses and notes are those of one serial run.  The run is one memo
+    scope: ``_memo`` and ``_hom_memo`` live until it ends, ``_flat``
+    outlives it, and on workers the pool's end drops the memos.  The
+    units' ``_flat`` verdicts go into the caller's in unit order, so a run
+    on workers leaves the memo a serial run would."""
     categories = [(c,) for c in sorted(corpus.categories)]
-    slices = _functor_slices(corpus)
-    unit_args = {"I": categories, "II": categories, "IV": slices, "V": slices}
-    units = [(t, args) for t in theorems for args in unit_args.get(t, [()])]
+    units = [
+        (t, args)
+        for t in theorems
+        for args in (categories if t in ("I", "II", "IV", "V") else [()])
+    ]
     try:
         results = _map_units(corpus, budget, units)
     finally:
@@ -1404,16 +1387,15 @@ def _run(corpus: Corpus, budget: Budget, theorems: Sequence[str]) -> list[SuiteR
 def run_theorem_suite(
     theorem: str, corpus: Corpus, budget: Union[str, Budget] = "default"
 ) -> SuiteReport:
-    """One suite's report.  Suites I and II run one unit per category and
-    suites IV and V one unit per functor slice, on a process pool when
-    the process may use more than one CPU; suites III, VI and VII are one
-    unit, run in-process.  The call is one memo scope: ``_memo`` and
-    ``_hom_memo`` live until it returns, the ``_flat`` verdicts it probed
-    outlive it, handed back by the workers, and the pool's end drops the
-    workers' memos.  When a unit raises, the units not yet queued to a
-    worker are cancelled and the others finish before the error is
-    raised in the caller; a worker that dies raises ``ChildProcessError``.
-    No worker outlives the call."""
+    """One suite's report.  Suites I, II, IV and V run one unit per base
+    category, on a process pool when the process may use more than one
+    CPU; suites III, VI and VII are one unit, run in-process.  The call
+    is one memo scope: ``_memo`` and ``_hom_memo`` live until it returns,
+    the ``_flat`` verdicts it probed outlive it, handed back by the
+    workers, and the pool's end drops the workers' memos.  When a unit
+    raises, the units not yet queued to a worker are cancelled and the
+    others finish before the error is raised in the caller; a worker that
+    dies raises ``ChildProcessError``.  No worker outlives the call."""
     if theorem not in SUITE_IDS:
         raise StructureError(f"unknown suite {theorem!r}; expected one of {SUITE_IDS}")
     return _run(corpus, _resolve_budget(budget), (theorem,))[0]

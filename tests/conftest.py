@@ -48,8 +48,7 @@ def diamond_cat() -> FinCategory:
 
 @pytest.fixture
 def serial_workers(monkeypatch):
-    """Every suite run in-process, with suites IV and V as one functor
-    slice each, as on a machine with one CPU."""
+    """Every suite run in-process, as on a machine with one CPU."""
     from toposkit import verify
 
     monkeypatch.setattr(verify, "_worker_count", lambda units: 1)

@@ -210,6 +210,13 @@ def test_undeclared_entity_is_usage_error(demo_ws, capsys):
     assert code == 2
 
 
+def test_sheafify_names_an_undeclared_presheaf(capsys):
+    code = main(["sheafify", "NOPE", "sierpinski", "--input", CORPUS_WS])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "presheaf 'NOPE' is not declared in the workspace" in err
+
+
 # -- verdict commands ---------------------------------------------------------
 
 

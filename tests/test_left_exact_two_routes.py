@@ -17,6 +17,12 @@ exact; epsilon after the a <-> b symmetry of the two-point discrete space,
 which is too; and the functor constant at the first bound-2 sheaf with
 two elements at the base's terminal object, which both routes reject,
 route 1 at the terminal shape.
+
+Epsilon after an endofunctor u of the base that is not left exact tests
+the converse: where route 2 fails, route 1 must fail too, at route 2's
+first failing shape.  The endofunctors are every constant one, which is
+left exact only at the terminal object, and on the diamond the fold of b
+onto a, which keeps the terminal object but not the meet of a and b.
 """
 
 import pytest
@@ -123,3 +129,46 @@ def test_route_1_verifies_every_functor_that_route_2_finds_left_exact(name, monk
             assert route_1.verdict == "verified-up-to-budget"
     # route 1 factors the extension's colimits through the sheafification unit
     assert factored
+
+
+def _after(p, u, name):
+    """p after the endofunctor of its base, a poset, given by u on objects."""
+    C = p.dom
+
+    def on_mor(m):
+        (f,) = C.hom(u[C.src(m)], u[C.tgt(m)])
+        return p.on_mor(f)
+
+    return HandleFunctor(
+        name, C, p.cod, {X: p.obj_map[u[X]] for X in C.objects},
+        {m: on_mor(m) for m in C.non_identities()},
+    )
+
+
+FOLD = {"bot": "bot", "a": "a", "b": "a", "top": "top"}
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_route_1_fails_at_route_2s_first_shape_after_a_non_lex_endofunctor(name):
+    site = SITES[name]
+    C = site.base
+    eps = epsilon_handle_functor(site, SheafCategory(site, 2))
+    top = FinCatHandle(C).limit(NO_OBJECTS).apex
+    # each endofunctor on objects, and the first shape route 2 must fail
+    endofunctors = {
+        f"constant_{c}": ({X: c for X in C.objects}, None if c == top else "terminal")
+        for c in sorted(C.objects)
+    }
+    if name == "two_point_discrete":
+        endofunctors["fold"] = (FOLD, "binary-product")
+    for label, (u, first) in endofunctors.items():
+        p = _after(eps, u, f"epsilon_{label}")
+        assert validate_handle_functor(p).ok
+        route_2 = _not_preserved(p)
+        route_1 = is_flat_bounded(p)
+        assert (route_2[0] if route_2 else None) == first, label
+        if route_2:
+            assert route_1.verdict == "counterexample", label
+            assert route_1.counterexample["shape"] == route_2[0], label
+        else:
+            assert route_1.verdict == "verified-up-to-budget", label

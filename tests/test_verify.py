@@ -320,10 +320,7 @@ def test_suite_I_merges_its_units_as_one_serial_run(monkeypatch):
     # one base with a few failures, one past the witness cap on its own,
     # and one whose failures all land after the cap
     _plant_suite_I_failures(monkeypatch, corpus, ("one", "parallel", "z2"))
-    serial = verify._Recorder()
-    for cname in sorted(corpus.categories):
-        verify._suite_I(corpus, budget, serial, cname)
-    want = serial.finish("I", corpus.digest()).to_dict()
+    want = _serial_report("I", corpus, budget)
     assert {w["category"] for w in want["witnesses"]} == {"one", "parallel"}
     assert len(want["witnesses"]) == 25
     assert want["budget_notes"][-1] == "witness list capped at 25; 139 more failures"
@@ -430,18 +427,12 @@ def test_one_unit_and_threaded_callers_run_in_process(monkeypatch):
 def _serial_report(theorem, corpus, budget):
     """One recorder over every unit of ``theorem``, in order, in-process."""
     rec = verify._Recorder()
-    n = len(corpus.functors)
-    spans = {
-        "II": [(c,) for c in sorted(corpus.categories)],
-        "IV": [(0, n)],
-        "V": [(0, n)],
-    }[theorem]
-    for span in spans:
-        verify._SUITES[theorem](corpus, budget, rec, *span)
+    for cname in sorted(corpus.categories):
+        verify._SUITES[theorem](corpus, budget, rec, cname)
     return rec.finish(theorem, corpus.digest()).to_dict()
 
 
-def _sliced_reports(monkeypatch, theorem, corpus, budget):
+def _reports_on_workers(monkeypatch, theorem, corpus, budget):
     """The reports of ``theorem`` on one worker and on two."""
     reports = []
     for n in (1, 2):
@@ -451,16 +442,19 @@ def _sliced_reports(monkeypatch, theorem, corpus, budget):
     return reports
 
 
-def _slices_on_two_workers(monkeypatch, corpus):
-    _workers(monkeypatch, 2)
-    return verify._functor_slices(corpus)
+def _functors_by_base(corpus):
+    """The names of each base's functors, in roster order, by sorted base."""
+    return [
+        [fx.name for fx in corpus.functors if fx.base == cname]
+        for cname in sorted(corpus.categories)
+    ]
 
 
 @pytest.mark.parametrize("theorem", ["II", "IV", "V"])
 @pytest.mark.parametrize("seed, budget", [(s, "small") for s in range(4)] + [(0, "default")])
 def test_suites_II_IV_V_report_the_same_on_workers(monkeypatch, theorem, seed, budget):
     reports = [
-        _sliced_reports(monkeypatch, theorem, corpus_generate(seed, budget), budget)
+        _reports_on_workers(monkeypatch, theorem, corpus_generate(seed, budget), budget)
         for _ in range(2)
     ]
     assert reports[0][0] == reports[0][1] == reports[1][1]
@@ -482,14 +476,23 @@ def test_suites_I_II_IV_V_run_on_the_workers(monkeypatch, theorem, probe):
     assert pids and set(pids) == {os.getpid()}
 
 
-def test_functor_slices_cover_the_functors_in_order(monkeypatch):
-    corpus = corpus_generate(0, "default")
-    slices = _slices_on_two_workers(monkeypatch, corpus)
-    assert len(slices) == 2 * verify._SLICES_PER_WORKER
-    assert [a for a, _ in slices[1:]] == [b for _, b in slices[:-1]]
-    assert (slices[0][0], slices[-1][1]) == (0, len(corpus.functors))
-    _workers(monkeypatch, 1)
-    assert verify._functor_slices(corpus) == [(0, len(corpus.functors))]
+def test_the_units_do_not_depend_on_the_worker_count(monkeypatch):
+    handed = []
+
+    def capture(corpus, budget, units):
+        handed.append(units)
+        raise RuntimeError("units captured")
+
+    monkeypatch.setattr(verify, "_map_units", capture)
+    for n in (1, 2, 8):
+        _workers(monkeypatch, n)
+        with pytest.raises(RuntimeError, match="captured"):
+            suite_all(CORPUS, "small")
+    assert handed[0] == handed[1] == handed[2]
+    categories = [(c,) for c in sorted(CORPUS.categories)]
+    for theorem in ("I", "II", "IV", "V"):
+        assert [args for t, args in handed[0] if t == theorem] == categories
+    assert [t for t, args in handed[0] if not args] == ["III", "VI", "VII", "controls"]
 
 
 def test_suite_II_merges_its_units_as_one_serial_run(monkeypatch):
@@ -511,19 +514,19 @@ def test_suite_II_merges_its_units_as_one_serial_run(monkeypatch):
         "exhaustive census at value bound 2 plus the corpus presheaf samples",
         "witness list capped at 25; 23 more failures",
     ]
-    assert _sliced_reports(monkeypatch, "II", corpus, budget) == [want, want]
+    assert _reports_on_workers(monkeypatch, "II", corpus, budget) == [want, want]
 
 
-def test_suite_IV_merges_its_slices_as_one_serial_run(monkeypatch):
-    # the default budget, where slices skip instances and truncate hom sets
+def test_suite_IV_merges_its_units_as_one_serial_run(monkeypatch):
+    # the default budget, where units skip instances and truncate hom sets
     corpus = corpus_generate(0, "default")
     budget = budget_profile("default")
-    slices = _slices_on_two_workers(monkeypatch, corpus)
-    # the functors on either side of a slice boundary, the first only at
-    # its first transposition, and the last functor, whose failures run
-    # past the witness cap
-    edge = slices[1][0]
-    names = [fx.name for fx in corpus.functors]
+    # the functors on either side of the chain4 | diamond boundary, the
+    # first only at its first transposition, and the last functor of the
+    # last category, whose failures run past the witness cap
+    by_base = _functors_by_base(corpus)
+    k = sorted(corpus.categories).index("chain4")
+    before, after, last = by_base[k][-1], by_base[k + 1][0], by_base[-1][-1]
     calls = []  # the functor of each transposition since the functor changed
     real_phi, real_validate = verify.adjunction_phi, verify.validate_presheaf_morphism
 
@@ -535,7 +538,7 @@ def test_suite_IV_merges_its_slices_as_one_serial_run(monkeypatch):
 
     def validate(t):
         rep = real_validate(t)
-        if calls and (calls == [names[edge - 1]] or calls[0] in (names[edge], names[-1])):
+        if calls and (calls == [before] or calls[0] in (after, last)):
             rep = dataclasses.replace(rep, violations=[*rep.violations, "planted"])
         return rep
 
@@ -543,22 +546,24 @@ def test_suite_IV_merges_its_slices_as_one_serial_run(monkeypatch):
     monkeypatch.setattr(verify, "validate_presheaf_morphism", validate)
     want = _serial_report("IV", corpus, budget)
     fixtures = [w["fixture"] for w in want["witnesses"]]
-    assert fixtures == [names[edge - 1]] + [names[edge]] * 21 + [names[-1]] * 3
-    # the slices' notes first, then the skip count, then the cap
+    assert fixtures == [before] + [after] * 20 + [last] * 4
+    # the units' notes first, then the skip count, then the cap
     assert want["budget_notes"] == [
         "hom sets truncated to 6 maps",
         "3 instances skipped: hom or transform pool above budget",
-        "witness list capped at 25; 9 more failures",
+        "witness list capped at 25; 8 more failures",
     ]
-    assert _sliced_reports(monkeypatch, "IV", corpus, budget) == [want, want]
+    assert _reports_on_workers(monkeypatch, "IV", corpus, budget) == [want, want]
 
 
-def test_suite_V_merges_its_slices_as_one_serial_run(monkeypatch):
+def test_suite_V_merges_its_units_as_one_serial_run(monkeypatch):
     corpus = corpus_generate(1, "small")
     budget = budget_profile("small")
-    slices = _slices_on_two_workers(monkeypatch, corpus)
-    # every functor past the first slice reads as not flat elementwise
-    planted = {fx.name for fx in corpus.functors[slices[1][0]:]}
+    # the last functor of chain4 and every functor of the later bases read
+    # as not flat elementwise
+    by_base = _functors_by_base(corpus)
+    k = sorted(corpus.categories).index("chain4")
+    planted = {by_base[k][-1], *(name for names in by_base[k + 1:] for name in names)}
     real = verify.is_flat_setvalued
 
     def wrong(p):
@@ -569,10 +574,13 @@ def test_suite_V_merges_its_slices_as_one_serial_run(monkeypatch):
 
     monkeypatch.setattr(verify, "is_flat_setvalued", wrong)
     want = _serial_report("V", corpus, budget)
-    assert len(want["witnesses"]) == 25
-    assert want["budget_notes"] == ["witness list capped at 25; 17 more failures"]
-    assert len({w["fixture"] for w in want["witnesses"]}) > len(slices)
-    assert _sliced_reports(monkeypatch, "V", corpus, budget) == [want, want]
+    # the first two failures sit on either side of the chain4 | diamond
+    # boundary, and the cap falls four bases later
+    fixtures = [w["fixture"] for w in want["witnesses"]]
+    assert fixtures[:2] == [by_base[k][-1], by_base[k + 1][0]]
+    assert len(fixtures) == 25 and fixtures[-1] == by_base[k + 4][0]
+    assert want["budget_notes"] == ["witness list capped at 25; 8 more failures"]
+    assert _reports_on_workers(monkeypatch, "V", corpus, budget) == [want, want]
 
 
 def _flat_memo(corpus):
@@ -627,12 +635,10 @@ def test_a_unit_that_raises_on_a_worker_raises_in_the_caller(monkeypatch, theore
     corpus = corpus_generate(1, "small")
     parent = os.getpid()
     real = verify._SUITES[theorem]
-    slices = verify._functor_slices(corpus)
-    last = {"II": (max(corpus.categories),), "IV": slices[-1], "V": slices[-1]}
 
     def raising(corpus_, budget, rec, *args):
         real(corpus_, budget, rec, *args)
-        if args == last[theorem]:
+        if args == (max(corpus.categories),):
             raise RuntimeError(f"raised mid-run in {os.getpid()}")
 
     monkeypatch.setitem(verify._SUITES, theorem, raising)

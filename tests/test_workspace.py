@@ -66,6 +66,40 @@ functor segment_collapse from arrow into psharrow
     s.t @ s : id_s -> ()
 """
 
+# a functor into presheaves on arrow whose object lines name presheaves,
+# valid with "    s = presheaf Q" between the two halves; each text below
+# puts a bad line for s there
+REFS_HEAD = """
+category one
+  objects *
+
+category arrow
+  objects s t
+  morphisms
+    s.t : s -> t
+
+presheaf Q on arrow
+  values
+    s = q
+    t = q
+  actions
+    s.t : q -> q
+
+presheaf R on one
+  values
+    * = r
+
+handle psharrow = presheaves on arrow bound 2
+
+functor p from arrow into psharrow
+  objects
+"""
+REFS_TAIL = """    t = presheaf Q
+  maps
+    s.t @ s : q -> q
+    s.t @ t : q -> q
+"""
+
 
 def _errors(text):
     with pytest.raises(WorkspaceParseError) as exc:
@@ -236,6 +270,41 @@ functor p from arrow into fin
 def test_a_bad_map_line_of_a_presheaf_valued_functor_is_located(text, reason):
     last = len(text.splitlines())
     assert _located(_errors(text)) == [(last, "segment_collapse", reason)]
+
+
+@pytest.mark.parametrize(
+    "text, line, entity, reason",
+    [
+        ("category c\n  objects x b$c\n", "  objects x b$c", "c", "bad name 'b$c'"),
+        (
+            "category one\n  objects *\nhandle h = presheaves on one bound two\n",
+            "handle h = presheaves on one bound two",
+            "h",
+            "bound is not an integer: 'two'",
+        ),
+        (
+            "category one\n  objects *\nhandle h = sheaves on T bound 2\n",
+            "handle h = sheaves on T bound 2",
+            "h",
+            "unknown site 'T'",
+        ),
+        (
+            REFS_HEAD + "    s = presheaf Q extra\n" + REFS_TAIL,
+            "    s = presheaf Q extra",
+            "p",
+            "expected: <object> = presheaf <name>",
+        ),
+        (
+            REFS_HEAD + "    s = presheaf R\n" + REFS_TAIL,
+            "    s = presheaf R",
+            "p",
+            "presheaf 'R' lives on the wrong base",
+        ),
+    ],
+)
+def test_a_bad_line_is_located_on_itself(text, line, entity, reason):
+    line_no = text.splitlines().index(line) + 1
+    assert _located(_errors(text))[0] == (line_no, entity, reason)
 
 
 def test_inline_values_need_one_point_base():
