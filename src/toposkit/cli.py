@@ -17,10 +17,10 @@ import os
 import sys
 from typing import Any, Optional
 
-from .errors import ToposkitError, WorkspaceParseError
+from .errors import StructureError, ToposkitError, WorkspaceParseError
 from .fincat import validate_category, validate_handle_functor
 from .kan import is_flat_bounded, is_flat_setvalued, right_adjoint_hp, tilde_extend
-from .presheaf import Presheaf, PresheafCategory, is_presheaf_iso, validate_presheaf
+from .presheaf import Presheaf, is_presheaf_iso, validate_presheaf
 from .site import (
     canonical_pretopology,
     epsilon,
@@ -190,19 +190,17 @@ def _cmd_adjoint(ws: Workspace, args, _perr) -> tuple[dict, bool]:
 def _cmd_flat(ws: Workspace, args, _perr) -> tuple[dict, bool]:
     p = ws.functor(args.functor)
     payload: dict = {"functor": args.functor}
-    # a sheaf handle is a PresheafCategory too, but its objects are not
-    # plain finite sets, so only presheaves on one object qualify
-    set_valued = type(p.cod) is PresheafCategory and len(p.cod.base.objects) == 1
     flat_votes = []
-    if set_valued:
+    try:
         sw = is_flat_setvalued(p)
+    except StructureError:
+        payload["element_category_cofiltered"] = None
+        payload["note"] = "element-category route needs finite-set values"
+    else:
         payload["element_category_cofiltered"] = {
             "flat": sw.ok, "violations": [v.law for v in sw.violations]
         }
         flat_votes.append(sw.ok)
-    else:
-        payload["element_category_cofiltered"] = None
-        payload["note"] = "element-category route needs finite-set values"
     bounded = is_flat_bounded(p, **flat_knobs(budget_profile(args.budget)))
     payload["exactness_probe"] = dataclasses.asdict(bounded)
     flat_votes.append(bounded.verdict == "verified-up-to-budget")

@@ -50,6 +50,7 @@ from .fincat import (
 )
 from .presheaf import (
     Presheaf,
+    PresheafCategory,
     PresheafMorphism,
     category_of_elements,
     element_node,
@@ -151,7 +152,7 @@ def eta_component(p: HandleFunctor, X: str) -> Mor:
     so its leg is an isomorphism p(X) -> extension(h_X).
     """
     value = tilde_extend(p, yoneda_embed(p.dom, X))
-    return value.colimit.legs[element_node(f"id_{X}", X)]
+    return value.colimit.legs[element_node(p.dom.id_of(X), X)]
 
 
 def eta_iso(p: HandleFunctor) -> EtaResult:
@@ -313,26 +314,35 @@ def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tupl
     presheaf's category of elements gives exactly these pairs and arrows.
     """
     C = p.dom
-    point = {X: _finset_point(p.obj_map[X]) for X in C.objects}
+    point = _finset_point(p)
     transpose = Presheaf(
         opposite(C),
-        {X: p.obj_map[X].values[point[X]] for X in C.objects},
-        {m.name: p.on_mor(m.name).components[point[m.src]] for m in C.morphisms},
+        {X: p.obj_map[X].values[point] for X in C.objects},
+        {m.name: p.on_mor(m.name).components[point] for m in C.morphisms},
         p.name,
     )
     els = category_of_elements(transpose)
     return opposite(els.gamma), els.obj_elem
 
 
-def _finset_point(obj: Obj) -> str:
-    """The sole object of the one-object base a finite set lives over."""
-    if not isinstance(obj, Presheaf) or len(obj.base.objects) != 1:
+def _finset_point(p: HandleFunctor) -> str:
+    """The sole object of the one-object base that p's finite sets live over.
+
+    A sheaf handle is a PresheafCategory too, but its objects are not
+    plain finite sets, so only presheaves on one object qualify.
+    """
+    if type(p.cod) is not PresheafCategory or len(p.cod.base.objects) != 1:
         raise StructureError("set-valued flatness needs finite-set objects")
-    return obj.base.objects[0]
+    return p.cod.base.objects[0]
 
 
 def is_flat_setvalued(p: HandleFunctor) -> ValidationReport:
-    """Cofilteredness of the element category decides flatness here."""
+    """Cofilteredness of the element category decides flatness here.
+
+    p must be set-valued: its codomain is a ``PresheafCategory`` (not a
+    sheaf handle) on a one-object base, such as ``finset_category``; any
+    other codomain raises ``StructureError``.
+    """
     gamma, _ = covariant_elements(p)
     return is_cofiltered(gamma)
 

@@ -62,10 +62,12 @@ from .fincat import (
     ValidationReport,
 )
 from .presheaf import (
+    MAX_PRESHEAVES,
     Presheaf,
     PresheafCategory,
     PresheafMorphism,
     compose_presheaf_morphisms,
+    enumerate_presheaves,
     is_presheaf_iso,
     presheaf_limit,
     yoneda_embed,
@@ -952,15 +954,12 @@ class SheafCategory(PresheafCategory):
     def __init__(self, site: Site, bound: int = 2) -> None:
         super().__init__(site.base, bound)
         self.site = site
-        # apart from the presheaf census, which PresheafCategory caches
-        self._sheaves: Optional[list[Presheaf]] = None
 
     def objects(self) -> list[Presheaf]:
-        if self._sheaves is None:
-            self._sheaves = [
-                P for P in super().objects() if is_sheaf(P, self.site).ok
-            ]
-        return self._sheaves
+        if self._objects is None:
+            census = enumerate_presheaves(self.base, self.bound, max_count=MAX_PRESHEAVES)
+            self._objects = [P for P in census if is_sheaf(P, self.site).ok]
+        return self._objects
 
     def probe_objects(self) -> list[Presheaf]:
         return [epsilon(self.site, X) for X in sorted(self.site.base.objects)]

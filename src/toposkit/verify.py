@@ -218,13 +218,6 @@ def fixture_sites(categories: Mapping[str, FinCategory]) -> dict[str, Site]:
     }
 
 
-_SITE_OF_BASE = {
-    "arrow": "arrow_trivial",
-    "chain3": "sierpinski",
-    "chain4": "three_point_chain",
-    "diamond": "two_point_discrete",
-}
-
 # hand-derived continuity of hom_from(W) on the base's site: covering an
 # open forces every map out of W into it to factor through some cover
 # member, which fails exactly when W itself sits in the covered open but
@@ -435,86 +428,49 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
             )
         presheaves[cname] = members
 
+    def fixture(
+        functor: HandleFunctor, exact: Optional[bool] = None, continuous: Optional[bool] = None
+    ) -> FunctorFixture:
+        """Only the tags are stated by hand: the name is the functor's, the
+        base and codomain are the corpus entries that are its domain and
+        codomain, and a finite-set-valued functor's site is the corpus site
+        on its base."""
+        base = next(n for n, C in categories.items() if C is functor.dom)
+        codomain = next(n for n, h in handles.items() if h is functor.cod)
+        on_base = (n for n, S in sites.items() if S.base is functor.dom and functor.cod is fs)
+        return FunctorFixture(
+            functor.name, functor, base, codomain, exact, next(on_base, None), continuous
+        )
+
     functors: list[FunctorFixture] = []
     for cname in sorted(categories):
         C = categories[cname]
-        site_name = _SITE_OF_BASE.get(cname)
         for W in sorted(C.objects):
-            fx_name = f"hom_from_{W}_{cname}"
-            cont = _HOM_CONTINUITY.get((cname, W)) if site_name else None
             functors.append(
-                FunctorFixture(
-                    fx_name,
-                    _hom_from(C, W, fs, fx_name),
-                    cname,
-                    "finset",
+                fixture(
+                    _hom_from(C, W, fs, f"hom_from_{W}_{cname}"),
                     exact=True,
-                    site=site_name,
-                    continuous=cont,
+                    continuous=_HOM_CONTINUITY.get((cname, W)),
                 )
             )
 
-    diamond = categories["diamond"]
-    functors.append(
-        FunctorFixture(
-            "wedge_diamond",
-            _char_functor(diamond, frozenset({"a", "b", "top"}), fs, "wedge_diamond"),
-            "diamond",
-            "finset",
-            exact=False,
-            site="two_point_discrete",
-            continuous=True,
+    # characteristic functors of upsets: name, base, upset, exact, continuous
+    for fx_name, cname, upset, exact, cont in (
+        ("wedge_diamond", "diamond", {"a", "b", "top"}, False, True),
+        ("empty_diamond", "diamond", set(), False, True),
+        ("const_point_diamond", "diamond", {"bot", "a", "b", "top"}, True, False),
+        ("const_point_discrete2", "discrete2", {"l", "r"}, False, None),
+        ("const_point_z2", "z2", {"*"}, False, None),
+    ):
+        functors.append(
+            fixture(_char_functor(categories[cname], frozenset(upset), fs, fx_name), exact, cont)
         )
-    )
-    functors.append(
-        FunctorFixture(
-            "empty_diamond",
-            _char_functor(diamond, frozenset(), fs, "empty_diamond"),
-            "diamond",
-            "finset",
-            exact=False,
-            site="two_point_discrete",
-            continuous=True,
-        )
-    )
-    functors.append(
-        FunctorFixture(
-            "const_point_diamond",
-            _char_functor(diamond, frozenset(diamond.objects), fs, "const_point_diamond"),
-            "diamond",
-            "finset",
-            exact=True,
-            site="two_point_discrete",
-            continuous=False,
-        )
-    )
-    functors.append(
-        FunctorFixture(
-            "const_point_discrete2",
-            _char_functor(
-                categories["discrete2"], frozenset({"l", "r"}), fs, "const_point_discrete2"
-            ),
-            "discrete2",
-            "finset",
-            exact=False,
-        )
-    )
-    functors.append(
-        FunctorFixture(
-            "const_point_z2",
-            _char_functor(categories["z2"], frozenset({"*"}), fs, "const_point_z2"),
-            "z2",
-            "finset",
-            exact=False,
-        )
-    )
 
     s2 = finset_obj(["s0", "s1"], name="S2")
     pt = finset_obj(["q"], name="pt")
     arrow = categories["arrow"]
     functors.append(
-        FunctorFixture(
-            "doubled_stalk",
+        fixture(
             HandleFunctor(
                 "doubled_stalk",
                 arrow,
@@ -522,89 +478,46 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
                 {"s": s2, "t": pt},
                 {"s.t": finset_map(s2, pt, {"s0": "q", "s1": "q"})},
             ),
-            "arrow",
-            "finset",
             exact=False,
-            site="arrow_trivial",
             continuous=True,
         )
     )
     one = categories["one"]
-    functors.append(
-        FunctorFixture(
-            "two_point_stalk",
-            HandleFunctor("two_point_stalk", one, fs, {"*": s2}, {}),
-            "one",
-            "finset",
-            exact=False,
-        )
-    )
-    functors.append(
-        FunctorFixture(
-            "point_stalk",
-            HandleFunctor("point_stalk", one, fs, {"*": pt}, {}),
-            "one",
-            "finset",
-            exact=True,
-        )
-    )
+    functors.append(fixture(HandleFunctor("two_point_stalk", one, fs, {"*": s2}, {}), exact=False))
+    functors.append(fixture(HandleFunctor("point_stalk", one, fs, {"*": pt}, {}), exact=True))
 
     one_psh = psh_arrow.terminal()
     h_s = yoneda_embed(arrow, "s")
     functors.append(
-        FunctorFixture(
-            "yoneda_arrow",
+        fixture(
             HandleFunctor(
                 "yoneda_arrow",
                 arrow,
                 psh_arrow,
                 {X: yoneda_embed(arrow, X) for X in arrow.objects},
                 {m: yoneda_on_mor(arrow, m) for m in arrow.non_identities()},
-            ),
-            "arrow",
-            "psh_arrow",
+            )
         )
     )
-    functors.append(
-        FunctorFixture(
-            "segment_stalk",
-            HandleFunctor("segment_stalk", one, psh_arrow, {"*": h_s}, {}),
-            "one",
-            "psh_arrow",
-        )
-    )
+    functors.append(fixture(HandleFunctor("segment_stalk", one, psh_arrow, {"*": h_s}, {})))
     collapse = PresheafMorphism(
         h_s,
         one_psh,
         {X: {e: one_psh.values[X][0] for e in h_s.values[X]} for X in arrow.objects},
     )
     functors.append(
-        FunctorFixture(
-            "segment_collapse",
+        fixture(
             HandleFunctor(
-                "segment_collapse",
-                arrow,
-                psh_arrow,
-                {"s": h_s, "t": one_psh},
-                {"s.t": collapse},
-            ),
-            "arrow",
-            "psh_arrow",
+                "segment_collapse", arrow, psh_arrow, {"s": h_s, "t": one_psh}, {"s.t": collapse}
+            )
         )
     )
 
     for cname in ("arrow", "chain3", "diamond", "z2"):
         C = categories[cname]
         for i in range(budget.random_functors):
-            fx_name = f"rand{i}_{cname}_fs"
             functors.append(
-                FunctorFixture(
-                    fx_name,
-                    _random_fs_functor(C, fs, rng, budget.sample_bound, fx_name),
-                    cname,
-                    "finset",
-                    site=_SITE_OF_BASE.get(cname),
-                )
+                fixture(_random_fs_functor(C, fs, rng, budget.sample_bound, f"rand{i}_{cname}_fs"))
             )
 
     seen = set()

@@ -202,6 +202,9 @@ def _materialize_functor(ws: Workspace, decl: FunctorDecl) -> HandleFunctor:
             obj_map[X] = make_presheaf(
                 hbase, {sole: tuple(spec[1])}, name=f"{decl.name}({X})"
             )
+            rep = validate_presheaf(obj_map[X])
+            if not rep.ok:
+                raise StructureError(f"object {X}: {rep.violations[0].detail}")
         else:
             obj_map[X] = ws.presheaves[spec[1]]
     mor_map = {}

@@ -27,7 +27,9 @@ from toposkit.errors import (
     StructureError,
 )
 from toposkit.fincat import (
+    FinCategory,
     HandleDiagram,
+    Morphism,
     HandleFunctor,
     discrete_category,
     is_cofiltered,
@@ -74,7 +76,7 @@ from toposkit.presheaf import (
     yoneda_embed,
     yoneda_on_mor,
 )
-from toposkit.site import epsilon, generate_topology, is_sheaf
+from toposkit.site import SheafCategory, epsilon, generate_topology, is_sheaf
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -322,6 +324,17 @@ def test_eta_naturality_square_recomputed_by_hand():
         lhs = FS.compose(lifted, comps[X])
         rhs = FS.compose(comps[Y], p.on_mor(m))
         assert FS.equal_mor(lhs, rhs)
+
+
+def test_eta_reads_the_identity_by_its_own_name():
+    # the identity of x is not called id_x here
+    C = FinCategory(
+        "pt1", ("x",), (Morphism("one_x", "x", "x"),), {"x": "one_x"}, {("one_x", "one_x"): "one_x"}
+    )
+    assert validate_category(C).ok
+    res = eta_iso(HandleFunctor("pick", C, FS, {"x": S2}, {}))
+    assert res.report.ok, res.report.violations
+    assert FS.source(res.components["x"]) == S2
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +892,15 @@ def test_setvalued_flatness_needs_finite_set_targets():
     )
     with pytest.raises(StructureError):
         is_flat_setvalued(yo)
+    # a sheaf handle on a one-object base is not one of finite sets: the
+    # point is the only sheaf, and the constant functor at it is flat
+    SH = SheafCategory(generate_topology(z2_group(), {"*": [[]]}), 2)
+    (point,) = SH.objects()
+    discrete2 = discrete_category("discrete2", ["l", "r"])
+    const = HandleFunctor("const", discrete2, SH, {"l": point, "r": point}, {})
+    assert is_flat_bounded(const).verdict == "verified-up-to-budget"
+    with pytest.raises(StructureError):
+        is_flat_setvalued(const)
 
 
 # ---------------------------------------------------------------------------

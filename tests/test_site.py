@@ -7,12 +7,20 @@ subpresheaf route to matching families, and the definition of a matching
 family scanned over the full product, which also fixes their order.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toposkit.errors import ConsistencyError, FactorizationError, StructureError
+from toposkit import presheaf, site as site_module
+from toposkit.errors import (
+    ConsistencyError,
+    FactorizationError,
+    ResourceBudgetError,
+    StructureError,
+)
 from toposkit.fincat import (
     FinCatHandle,
     HandleDiagram,
@@ -185,6 +193,18 @@ def test_sieve_lattice_on_diamond_top():
     assert all(is_sieve_closed(C, S) for S in sieves)
     assert maximal_sieve(C, "top") in sieves
     assert Sieve("top", frozenset()) in sieves
+
+
+def test_the_sieve_lattice_is_refused_past_its_generator_cap(monkeypatch):
+    # the four principal sieves on the diamond's top span 2 ** 4 unions
+    monkeypatch.setattr(site_module, "MAX_SIEVE_GENERATORS", 4)
+    assert len(enumerate_sieves(diamond(), "top")) == 6
+    monkeypatch.setattr(site_module, "MAX_SIEVE_GENERATORS", 3)
+    with pytest.raises(ResourceBudgetError) as exc:
+        enumerate_sieves(diamond(), "top")
+    assert (exc.value.operation, exc.value.requested, exc.value.budget) == (
+        "enumerate_sieves", 16, 8
+    )
 
 
 def test_pullback_sieve_of_cover():
@@ -733,6 +753,18 @@ def test_canonical_pretopology_diamond_recovers_open_covers():
     assert covers["a"] == (("id_a",),)
 
 
+def test_canonical_pretopology_is_refused_past_its_arrow_cap(monkeypatch):
+    # four arrows end at the diamond's top, at most two anywhere else
+    monkeypatch.setattr(site_module, "MAX_PRETOPOLOGY_ARROWS", 4)
+    assert ("a.top", "b.top") in canonical_pretopology(diamond())["top"]
+    monkeypatch.setattr(site_module, "MAX_PRETOPOLOGY_ARROWS", 3)
+    with pytest.raises(ResourceBudgetError) as exc:
+        canonical_pretopology(diamond())
+    assert (exc.value.operation, exc.value.requested, exc.value.budget) == (
+        "canonical_pretopology", 16, 8
+    )
+
+
 def test_canonical_pretopology_group_prefers_identity_family():
     from conftest import z2_group
 
@@ -829,8 +861,36 @@ def test_sheaf_handle_is_the_full_subcategory_of_sheaves():
     Sh = SheafCategory(site, 2)
     census = PresheafCategory(site.base, 2).objects()
     assert Sh.objects() == [P for P in census if is_sheaf(P, site).ok]
-    # the sheaves are cached apart from the presheaf census
-    assert PresheafCategory.objects(Sh) == census
+
+
+def test_the_sheaf_handle_keeps_no_non_sheaf_alive(monkeypatch):
+    site = fixture_sites(fixture_categories())["two_point_discrete"]
+    made = []
+
+    def recording(C, bound, real=presheaf.iter_presheaves):
+        for P in real(C, bound):
+            made.append(weakref.ref(P))
+            yield P
+
+    monkeypatch.setattr(presheaf, "iter_presheaves", recording)
+    Sh = SheafCategory(site, 2)
+    sheaves = Sh.objects()
+    gc.collect()
+    assert len(made) == 249 and len(sheaves) == 10
+    assert [r() for r in made if r() is not None] == sheaves
+
+
+def test_the_sheaf_handle_refuses_an_oversized_census_before_any_sheaf_check(monkeypatch):
+    site = fixture_sites(fixture_categories())["two_point_discrete"]
+    monkeypatch.setattr(site_module, "MAX_PRESHEAVES", 248)
+
+    def no_check(*args):
+        raise AssertionError("a sheaf check ran before the refusal")
+
+    monkeypatch.setattr(site_module, "is_sheaf", no_check)
+    with pytest.raises(ResourceBudgetError) as exc:
+        SheafCategory(site, 2).objects()
+    assert (exc.value.requested, exc.value.budget) == (249, 248)
 
 
 def test_sheaf_count_matches_pair_model_bound_two():

@@ -27,7 +27,15 @@ from toposkit.errors import (
     StructureError,
     WorkspaceParseError,
 )
-from toposkit.fincat import validate_category, validate_handle_functor
+from toposkit.fincat import (
+    FinCatHandle,
+    HandleDiagram,
+    discrete_category,
+    make_category,
+    parallel_pair_category,
+    validate_category,
+    validate_handle_functor,
+)
 from toposkit.presheaf import short_key, validate_presheaf
 from toposkit.site import validate_site
 from toposkit.verify import (
@@ -95,11 +103,43 @@ def test_corpus_rejects_bounds_above_census_cap():
 
 
 def test_functor_fixture_sites_exist():
+    site_on = {id(S.base): n for n, S in CORPUS.sites.items()}
+    assert len(site_on) == len(CORPUS.sites)  # one site per base
     for fx in CORPUS.functors:
         if fx.site is not None:
             assert fx.site in CORPUS.sites
         assert fx.base in CORPUS.categories
         assert fx.codomain in CORPUS.handles
+        # the stated fields agree with the functor and the corpus
+        assert fx.name == fx.functor.name
+        assert CORPUS.categories[fx.base] is fx.functor.dom
+        assert CORPUS.handles[fx.codomain] is fx.functor.cod
+        set_valued = fx.functor.cod is CORPUS.handles["finset"]
+        assert fx.site == (site_on.get(id(fx.functor.dom)) if set_valued else None), fx.name
+        if fx.continuous is not None:
+            assert fx.site is not None, fx.name
+
+
+def test_finitely_complete_bases_are_the_fixtures_with_finite_limits():
+    def complete(C):
+        H = FinCatHandle(C)
+        terminal = HandleDiagram(make_category("empty", ()), {}, {})
+        two, pair = discrete_category("two", ["l", "r"]), parallel_pair_category()
+        products = [
+            HandleDiagram(two, {"l": X, "r": Y}, {}) for X in C.objects for Y in C.objects
+        ]
+        equalizers = [
+            HandleDiagram(pair, {"a": X, "b": Y}, {"u": f, "v": g})
+            for X in C.objects
+            for Y in C.objects
+            for f in C.hom(X, Y)
+            for g in C.hom(X, Y)
+        ]
+        return all(H.try_limit(d) is not None for d in [terminal, *products, *equalizers])
+
+    found = [name for name, C in fixture_categories().items() if complete(C)]
+    assert sorted(found) == sorted(verify.FINITELY_COMPLETE_BASES)
+    assert sorted(found) == ["arrow", "chain3", "chain4", "diamond", "one"]
 
 
 # -- seeded generators ------------------------------------------------------

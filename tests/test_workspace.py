@@ -326,6 +326,21 @@ functor p from arrow into psh
     assert any("one-point handle base" in e.reason for e in errs)
 
 
+def test_an_inline_set_may_not_repeat_a_label():
+    # the check runs when the functor is built, so the error sits on the
+    # block line, as for a presheaf block that repeats a label
+    text = ARROW_WS + """
+functor p from arrow into fin
+  objects
+    s = x0 x0
+    t = q
+  maps
+    s.t : x0 -> q
+"""
+    line_no = text.splitlines().index("functor p from arrow into fin") + 1
+    assert _located(_errors(text)) == [(line_no, "p", "object s: duplicate labels at *")]
+
+
 def test_error_lines_point_at_the_offence():
     text = "category c\n  objects x\n  morphisms\n    f : x -> missing\n"
     errs = _errors(text)
