@@ -22,7 +22,9 @@ functors by cofilteredness of the category of elements, and in general
 by building finite-limit comparison maps up to an explicit budget, where
 only a counterexample is a definitive verdict.  The elements of a
 set-valued functor are read as the opposite of the category of elements
-of its transpose, a presheaf on the opposite base.
+of its transpose, a presheaf on the opposite base; ``finset_transpose``
+and ``finset_functor`` in ``presheaf`` are the two directions of that
+bijection.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ from .fincat import (
 )
 from .presheaf import (
     Presheaf,
-    PresheafCategory,
     PresheafMorphism,
     category_of_elements,
     element_node,
     enumerate_presheaf_morphisms,
     enumerate_presheaves,
+    finset_transpose,
+    limit_comparison,
     presheaf_key,
-    presheaf_limit,
     short_key,
     table_key,
     yoneda_embed,
@@ -288,18 +290,9 @@ def adjunction_phi(p: HandleFunctor, H: Presheaf, z: Obj) -> PhiResult:
 
 def extension_limit_comparison(p: HandleFunctor, diagram: HandleDiagram) -> Mor:
     """The canonical map extension(lim D) -> lim(extension of D)."""
-    Z = p.cod
-    pre = presheaf_limit(diagram, p.dom)
-    nodes = {j: tilde_extend(p, P) for j, P in diagram.obs.items()}
-    z_diagram = HandleDiagram(
-        diagram.index,
-        {j: nodes[j].obj for j in diagram.obs},
-        {m: tilde_extend_mor(p, diagram.mors[m]) for m in diagram.mors},
+    return limit_comparison(
+        p.cod, diagram, p.dom, lambda P: tilde_extend(p, P).obj, lambda t: tilde_extend_mor(p, t)
     )
-    post = Z.limit(z_diagram)
-    apex = tilde_extend(p, pre.apex)
-    legs = {j: tilde_extend_mor(p, pre.legs[j]) for j in diagram.obs}
-    return post.factor(apex.obj, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +303,11 @@ def covariant_elements(p: HandleFunctor) -> tuple[FinCategory, Mapping[str, tupl
     """Elements of a set-valued functor: pairs (x, X), x in p(X); an arrow
     (x, X) -> (y, Y) is f: X -> Y with p(f)(x) = y, named f|x.
 
-    p is a presheaf on the opposite base, and reversing the arrows of that
-    presheaf's category of elements gives exactly these pairs and arrows.
+    Reversing the arrows of the category of elements of p's transpose, a
+    presheaf on the opposite base, gives exactly these pairs and arrows.
     """
-    C = p.dom
-    point = _finset_point(p)
-    transpose = Presheaf(
-        opposite(C),
-        {X: p.obj_map[X].values[point] for X in C.objects},
-        {m.name: p.on_mor(m.name).components[point] for m in C.morphisms},
-        p.name,
-    )
-    els = category_of_elements(transpose)
+    els = category_of_elements(finset_transpose(p))
     return opposite(els.gamma), els.obj_elem
-
-
-def _finset_point(p: HandleFunctor) -> str:
-    """The sole object of the one-object base that p's finite sets live over.
-
-    A sheaf handle is a PresheafCategory too, but its objects are not
-    plain finite sets, so only presheaves on one object qualify.
-    """
-    if type(p.cod) is not PresheafCategory or len(p.cod.base.objects) != 1:
-        raise StructureError("set-valued flatness needs finite-set objects")
-    return p.cod.base.objects[0]
 
 
 def is_flat_setvalued(p: HandleFunctor) -> ValidationReport:

@@ -10,13 +10,15 @@ reversed order, F(g.f) = F(f) after F(g).  The module provides:
   between morphisms out of a representable and elements of the target;
 * the category of elements of a presheaf with its projection to the base;
 * pointwise limits and colimits with constructive mediating morphisms,
-  quotients taken by union-find with smallest-member class labels;
+  quotients taken by union-find with smallest-member class labels, and
+  the comparison map of a functor at a limit cone;
 * the density check: the representable diagram over the category of
   elements, its canonical cocone back to the presheaf, and the map from
   its colimit, verified invertible;
 * a bounded presheaf-category handle implementing the computational
   category interface, and finite sets as the special case of presheaves
-  on the one-object, one-morphism category.
+  on the one-object, one-morphism category, with functors into them read
+  as presheaves on the opposite base and back.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import FactorizationError, ResourceBudgetError, StructureError
 from .fincat import (
@@ -32,9 +34,11 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     HandleDiagram,
+    HandleFunctor,
     LimitData,
     ValidationReport,
     make_category,
+    opposite,
     terminal_category,
 )
 from .search import backtrack
@@ -80,14 +84,23 @@ def make_presheaf(
     actions: Mapping[str, Mapping[str, str]] | None = None,
     name: str = "",
 ) -> Presheaf:
-    """Sort value tuples and fill in the identity actions."""
+    """Sort value tuples and fill in the identity actions; a table at an
+    object or morphism the base lacks, or an identity action that is not
+    the identity, raises ``StructureError``."""
+    actions = actions or {}
+    unknown = [x for x in values if x not in base.objects]
+    unknown += [m for m in actions if not base.has_mor(m)]
+    if unknown:
+        raise StructureError(f"make_presheaf: {base.name} has no {unknown[0]}")
     vals = {x: tuple(sorted(values.get(x, ()))) for x in base.objects}
     acts: dict[str, dict[str, str]] = {}
     for m in base.morphisms:
         if base.is_identity(m.name):
             acts[m.name] = {e: e for e in vals[m.src]}
+            if actions.get(m.name, acts[m.name]) != acts[m.name]:
+                raise StructureError(f"make_presheaf: action of {m.name} is not the identity")
         else:
-            acts[m.name] = dict((actions or {}).get(m.name, {}))
+            acts[m.name] = dict(actions.get(m.name, {}))
     return Presheaf(base, vals, acts, name)
 
 
@@ -597,6 +610,23 @@ def presheaf_limit(diagram: HandleDiagram, base: FinCategory) -> LimitData:
     return LimitData(apex, legs, factor)
 
 
+def limit_comparison(
+    Z: ComputationalCategory, diagram: HandleDiagram, base: FinCategory,
+    on_obj: Callable[[Presheaf], Any], on_mor: Callable[[PresheafMorphism], Any],
+) -> Any:
+    """The canonical map T(lim D) -> lim T(D) for T, from presheaves on base
+    into Z, given by ``on_obj`` and ``on_mor``: the image of the pointwise
+    limit cone, factored through the limit in Z."""
+    pre = presheaf_limit(diagram, base)
+    image = HandleDiagram(
+        diagram.index,
+        {j: on_obj(P) for j, P in diagram.obs.items()},
+        {m: on_mor(t) for m, t in diagram.mors.items()},
+    )
+    post = Z.limit(image)
+    return post.factor(on_obj(pre.apex), {j: on_mor(pre.legs[j]) for j in diagram.obs})
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -836,6 +866,38 @@ def finset_map(dom: Presheaf, cod: Presheaf, mapping: Mapping[str, str]) -> Pres
 
 def finset_value(P: Presheaf) -> tuple[str, ...]:
     return P.values["*"]
+
+
+def finset_functor(
+    name: str, C: FinCategory, G: Presheaf, handle: ComputationalCategory
+) -> HandleFunctor:
+    """The functor C -> finite sets with the tables of G, a presheaf on
+    ``opposite(C)``, its value at X named ``name(X)``; the inverse of
+    ``finset_transpose``."""
+    obs = {X: finset_obj(G.values[X], name=f"{name}({X})") for X in C.objects}
+    mors = {
+        m: finset_map(obs[C.src(m)], obs[C.tgt(m)], G.actions[m]) for m in C.non_identities()
+    }
+    return HandleFunctor(name, C, handle, obs, mors)
+
+
+def finset_transpose(p: HandleFunctor) -> Presheaf:
+    """The presheaf on ``opposite(p.dom)`` with the tables of p, named as p.
+
+    p's codomain must be exactly a ``PresheafCategory`` on one object; a
+    sheaf handle is one too, but its objects are not plain finite sets.
+    """
+    Z = p.cod
+    if type(Z) is not PresheafCategory or len(Z.base.objects) != 1:
+        raise StructureError("set-valued flatness needs finite-set objects")
+    point = Z.base.objects[0]
+    C = p.dom
+    return Presheaf(
+        opposite(C),
+        {X: p.obj_map[X].values[point] for X in C.objects},
+        {m.name: p.on_mor(m.name).components[point] for m in C.morphisms},
+        p.name,
+    )
 
 
 def constant_presheaf(C: FinCategory, labels: Sequence[str], name: str = "") -> Presheaf:

@@ -69,7 +69,8 @@ from .presheaf import (
     compose_presheaf_morphisms,
     enumerate_presheaves,
     is_presheaf_iso,
-    presheaf_limit,
+    limit_comparison,
+    presheaf_key,
     yoneda_embed,
     yoneda_on_mor,
 )
@@ -724,17 +725,19 @@ def is_strict_epi_family(
     For every enumerated object Y and every family of maps out of the
     sources that agrees on all probe-relations, there must be exactly one
     map out of the target restricting to it.  ``target`` is only needed
-    for the empty family, where it cannot be read off the members.
+    for the empty family, where it cannot be read off the members; given
+    with members, it must be theirs.
     Per target, agreeing families are scanned in the order of filtering
     the product of the hom pools, each relation checked at its later
     member; the witness is the first family without exactly one
     factoring.
     """
     if family:
+        given = [] if target is None else [target]
         target = Z.target(family[0])
-        for m in family[1:]:
+        for X in [Z.target(m) for m in family[1:]] + given:
             # by content too: a presheaf's key is its name, which may be shared
-            if Z.obj_key(Z.target(m)) != Z.obj_key(target) or Z.target(m) != target:
+            if Z.obj_key(X) != Z.obj_key(target) or X != target:
                 raise StructureError("is_strict_epi_family: mixed targets")
     elif target is None:
         raise StructureError("is_strict_epi_family: empty family needs an explicit target")
@@ -992,25 +995,16 @@ def sheafification_limit_comparison(site: Site, diagram: HandleDiagram) -> Presh
     the map is its factoring through the pointwise limit of sheaves.
     Left exactness of sheafification says it is an isomorphism.
     """
-    pre = presheaf_limit(diagram, site.base)
-    node_res = {j: sheafify(P, site) for j, P in diagram.obs.items()}
-    sheaf_diagram = HandleDiagram(
-        diagram.index,
-        {j: node_res[j].sheaf for j in diagram.obs},
-        {
-            m: sheafify_morphism(
-                site,
-                node_res[diagram.index.src(m)],
-                node_res[diagram.index.tgt(m)],
-                diagram.mors[m],
-            )
-            for m in diagram.mors
-        },
-    )
-    post = presheaf_limit(sheaf_diagram, site.base)
-    apex_res = sheafify(pre.apex, site)
-    lifted = {
-        j: sheafify_morphism(site, apex_res, node_res[j], pre.legs[j]) for j in diagram.obs
-    }
-    return post.factor(apex_res.sheaf, lifted)
+    # each presheaf of the diagram and of its limit cone is sheafified once
+    results: dict[tuple[str, str], SheafificationResult] = {}
 
+    def a(P: Presheaf) -> SheafificationResult:
+        key = (P.name, presheaf_key(P))
+        if key not in results:
+            results[key] = sheafify(P, site)
+        return results[key]
+
+    return limit_comparison(
+        PresheafCategory(site.base), diagram, site.base,
+        lambda P: a(P).sheaf, lambda t: sheafify_morphism(site, a(t.dom), a(t.cod), t),
+    )

@@ -64,7 +64,7 @@ from .presheaf import (
     density_check,
     enumerate_presheaf_morphisms,
     finset_category,
-    finset_map,
+    finset_functor,
     finset_obj,
     iter_presheaves,
     make_presheaf,
@@ -311,17 +311,8 @@ def random_fs_diagram(
 ) -> HandleDiagram:
     """A seeded diagram of finite sets over the index J."""
     G = random_presheaf(opposite(J), rng, bound, name=f"{name}_tab")
-    obs = {X: finset_obj(G.values[X], name=f"{name}({X})") for X in J.objects}
-    mors = {
-        m: finset_map(obs[J.src(m)], obs[J.tgt(m)], dict(G.actions[m]))
-        for m in J.non_identities()
-    }
-    return HandleDiagram(J, obs, mors)
-
-
-def _random_fs_functor(C: FinCategory, handle, rng: random.Random, bound: int, name: str):
-    d = random_fs_diagram(C, rng, bound, name)
-    return HandleFunctor(name, C, handle, dict(d.obs), dict(d.mors))
+    p = finset_functor(name, J, G, finset_category())
+    return HandleDiagram(J, p.obj_map, p.mor_map)
 
 
 # ---------------------------------------------------------------------------
@@ -373,29 +364,6 @@ class Corpus:
         return hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _hom_from(C: FinCategory, W: str, handle, name: str) -> HandleFunctor:
-    values = {X: tuple(sorted(C.hom(W, X))) for X in C.objects}
-    obs = {X: finset_obj(values[X], name=f"{name}({X})") for X in C.objects}
-    mors = {
-        m: finset_map(
-            obs[C.src(m)], obs[C.tgt(m)], {u: C.compose(m, u) for u in values[C.src(m)]}
-        )
-        for m in C.non_identities()
-    }
-    return HandleFunctor(name, C, handle, obs, mors)
-
-
-def _char_functor(C: FinCategory, upset: frozenset, handle, name: str) -> HandleFunctor:
-    pt = finset_obj(["q"], name="pt")
-    em = finset_obj([], name="0")
-    obs = {X: (pt if X in upset else em) for X in C.objects}
-    mors = {}
-    for m in C.non_identities():
-        d, c = obs[C.src(m)], obs[C.tgt(m)]
-        mors[m] = finset_map(d, c, {"q": "q"} if d.values["*"] else {})
-    return HandleFunctor(name, C, handle, obs, mors)
-
-
 def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus:
     """The named fixtures plus seeded random members, validated.
 
@@ -410,6 +378,7 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
             _CENSUS_BOUND_CAP,
         )
     categories = fixture_categories()
+    opposites = {n: opposite(C) for n, C in categories.items()}
     sites = fixture_sites(categories)
     fs = finset_category(3)
     psh_arrow = presheaf_category(categories["arrow"], 3)
@@ -446,15 +415,17 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
     for cname in sorted(categories):
         C = categories[cname]
         for W in sorted(C.objects):
+            h_W = yoneda_embed(opposites[cname], W)
             functors.append(
                 fixture(
-                    _hom_from(C, W, fs, f"hom_from_{W}_{cname}"),
+                    finset_functor(f"hom_from_{W}_{cname}", C, h_W, fs),
                     exact=True,
                     continuous=_HOM_CONTINUITY.get((cname, W)),
                 )
             )
 
-    # characteristic functors of upsets: name, base, upset, exact, continuous
+    # characteristic functors of upsets, each the subterminal presheaf on the
+    # opposite base that is the point on the upset: name, base, upset, tags
     for fx_name, cname, upset, exact, cont in (
         ("wedge_diamond", "diamond", {"a", "b", "top"}, False, True),
         ("empty_diamond", "diamond", set(), False, True),
@@ -462,26 +433,23 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
         ("const_point_discrete2", "discrete2", {"l", "r"}, False, None),
         ("const_point_z2", "z2", {"*"}, False, None),
     ):
-        functors.append(
-            fixture(_char_functor(categories[cname], frozenset(upset), fs, fx_name), exact, cont)
+        C = categories[cname]
+        G = make_presheaf(
+            opposites[cname],
+            {X: ["q"] for X in upset},
+            {m: {"q": "q"} for m in C.non_identities() if C.src(m) in upset},
         )
+        functors.append(fixture(finset_functor(fx_name, C, G, fs), exact, cont))
 
+    arrow = categories["arrow"]
+    doubled = make_presheaf(
+        opposites["arrow"], {"s": ["s0", "s1"], "t": ["q"]}, {"s.t": {"s0": "q", "s1": "q"}}
+    )
+    functors.append(
+        fixture(finset_functor("doubled_stalk", arrow, doubled, fs), exact=False, continuous=True)
+    )
     s2 = finset_obj(["s0", "s1"], name="S2")
     pt = finset_obj(["q"], name="pt")
-    arrow = categories["arrow"]
-    functors.append(
-        fixture(
-            HandleFunctor(
-                "doubled_stalk",
-                arrow,
-                fs,
-                {"s": s2, "t": pt},
-                {"s.t": finset_map(s2, pt, {"s0": "q", "s1": "q"})},
-            ),
-            exact=False,
-            continuous=True,
-        )
-    )
     one = categories["one"]
     functors.append(fixture(HandleFunctor("two_point_stalk", one, fs, {"*": s2}, {}), exact=False))
     functors.append(fixture(HandleFunctor("point_stalk", one, fs, {"*": pt}, {}), exact=True))
@@ -516,9 +484,9 @@ def corpus_generate(seed: int, budget: Union[str, Budget] = "default") -> Corpus
     for cname in ("arrow", "chain3", "diamond", "z2"):
         C = categories[cname]
         for i in range(budget.random_functors):
-            functors.append(
-                fixture(_random_fs_functor(C, fs, rng, budget.sample_bound, f"rand{i}_{cname}_fs"))
-            )
+            name = f"rand{i}_{cname}_fs"
+            G = random_presheaf(opposites[cname], rng, budget.sample_bound, name=f"{name}_tab")
+            functors.append(fixture(finset_functor(name, C, G, fs)))
 
     seen = set()
     for fx in functors:

@@ -22,17 +22,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import chain, diamond, discrete2, parallel_arrows, walking_idempotent, z2_group
 from toposkit import presheaf
-from toposkit.errors import FactorizationError, ResourceBudgetError
+from toposkit.errors import FactorizationError, ResourceBudgetError, StructureError
 from toposkit.fincat import (
     FinCatHandle,
     HandleDiagram,
     discrete_category,
     make_category,
+    opposite,
     parallel_pair_category,
     poset_category,
     terminal_category,
     validate_category,
     validate_functor,
+    validate_handle_functor,
 )
 from toposkit.presheaf import (
     PresheafCategory,
@@ -45,8 +47,11 @@ from toposkit.presheaf import (
     enumerate_presheaf_morphisms,
     enumerate_presheaves,
     find_presheaf_iso,
+    finset_category,
+    finset_functor,
     finset_map,
     finset_obj,
+    finset_transpose,
     finset_value,
     is_presheaf_iso,
     make_presheaf,
@@ -62,6 +67,7 @@ from toposkit.presheaf import (
     yoneda_forward,
     yoneda_on_mor,
 )
+from toposkit.verify import corpus_generate, fixture_categories
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -148,6 +154,21 @@ def test_validate_catches_partial_action():
     F = make_presheaf(C, {"c0": ["x"], "c1": ["u", "v"]}, {"c0.c1": {"u": "x"}})
     rep = validate_presheaf(F)
     assert any(v.law == "action-total" for v in rep.violations)
+
+
+def test_make_presheaf_refuses_what_the_base_does_not_have():
+    C = poset_category("arrow", ["s", "t"], [("s", "t")])
+    with pytest.raises(StructureError):
+        make_presheaf(C, {"s": ["x"], "tt": ["y"]}, {"s.tt": {"y": "x"}, "id_s": {"x": "zzz"}})
+    with pytest.raises(StructureError, match="has no tt"):
+        make_presheaf(C, {"s": ["x"], "tt": ["y"]})
+    with pytest.raises(StructureError, match="has no s.tt"):
+        make_presheaf(C, {"s": ["x"], "t": ["y"]}, {"s.tt": {"y": "x"}})
+    with pytest.raises(StructureError, match="id_s is not the identity"):
+        make_presheaf(C, {"s": ["x"], "t": ["y"]}, {"s.t": {"y": "x"}, "id_s": {"x": "zzz"}})
+    # an identity action may be stated, as the identity
+    F = make_presheaf(C, {"s": ["x"], "t": ["y"]}, {"s.t": {"y": "x"}, "id_s": {"x": "x"}})
+    assert validate_presheaf(F).ok
 
 
 # ---------------------------------------------------------------------------
@@ -753,3 +774,39 @@ def test_presheaf_identity_and_composition_laws():
     for t in enumerate_presheaf_morphisms(F, G):
         assert compose_presheaf_morphisms(t, presheaf_identity(F)).components == t.components
         assert compose_presheaf_morphisms(presheaf_identity(G), t).components == t.components
+
+
+# ---------------------------------------------------------------------------
+# set-valued functors as presheaves on the opposite base
+
+
+def _finset_tables(p):
+    return (
+        {X: finset_value(p.obj_map[X]) for X in p.dom.objects},
+        {m: p.mor_map[m].components for m in p.dom.non_identities()},
+    )
+
+
+@pytest.mark.parametrize("cname", sorted(fixture_categories()))
+def test_finset_functor_and_transpose_are_inverse(cname):
+    C = fixture_categories()[cname]
+    C_op = opposite(C)
+    fs = finset_category(2)
+    for k, G in enumerate(enumerate_presheaves(C_op, 2)):
+        p = finset_functor(f"p{k}", C, G, fs)
+        assert validate_handle_functor(p).ok
+        assert [p.obj_map[X].name for X in C.objects] == [f"p{k}({X})" for X in C.objects]
+        T = finset_transpose(p)
+        assert T.base == C_op and T.name == f"p{k}"
+        assert T.values == G.values and T.actions == G.actions
+        assert _finset_tables(finset_functor("q", C, T, fs)) == _finset_tables(p)
+
+
+def test_every_set_valued_fixture_is_the_functor_of_its_transpose():
+    corpus = corpus_generate(0, "small")
+    fs = corpus.handles["finset"]
+    fixtures = [fx.functor for fx in corpus.functors if fx.codomain == "finset"]
+    assert len(fixtures) > 30
+    for p in fixtures:
+        q = finset_functor(p.name, p.dom, finset_transpose(p), fs)
+        assert _finset_tables(q) == _finset_tables(p), p.name

@@ -712,6 +712,23 @@ def test_mixed_targets_rejected_when_they_share_a_name():
         is_strict_epi_family(fs, [f1, f2])
 
 
+def test_an_explicit_target_must_be_the_members_target():
+    # as is_universal_strict_epi refuses it
+    C = diamond()
+    with pytest.raises(StructureError):
+        is_universal_strict_epi(C, ["a.top", "b.top"], target="a")
+    handle = FinCatHandle(C)
+    with pytest.raises(StructureError, match="mixed targets"):
+        is_strict_epi_family(handle, ["a.top", "b.top"], target="a")
+    assert is_strict_epi_family(handle, ["a.top", "b.top"], target="top").ok
+    # by content too: the keys agree, the contents do not
+    fs = finset_category(3)
+    f = finset_map(finset_obj(["s"]), finset_obj(["t"], name="T"), {"s": "t"})
+    with pytest.raises(StructureError, match="mixed targets"):
+        is_strict_epi_family(fs, [f], target=finset_obj(["u", "v"], name="T"))
+    assert is_strict_epi_family(fs, [f], target=finset_obj(["t"], name="T")).ok
+
+
 def test_universal_strict_epi_on_the_diamond():
     C = diamond()
     assert is_universal_strict_epi(C, ["a.top", "b.top"]).ok

@@ -8,6 +8,7 @@ of the individual checkers is covered by the per-module test files.
 """
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -94,6 +95,29 @@ def test_corpus_roster_is_seed_independent():
 def test_corpus_digest_reproducible_and_seed_sensitive():
     assert corpus_generate(0, "small").digest() == CORPUS.digest()
     assert corpus_generate(1, "small").digest() != CORPUS.digest()
+
+
+# sha256 over every fixture's object values and map components, in roster
+# order, for seeds 0 and 1 at the small and default budgets: the corpus
+# digest holds only names, so a change to any fixture's tables shows here
+FIXTURE_TABLES_SHA256 = "6c896fb5f56f7fe0a859426c555b2665f531142de46e697cd0727b474cf9015f"
+
+
+def test_fixture_tables_are_pinned():
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        for budget in ("small", "default"):
+            rows = [
+                [
+                    fx.name,
+                    [[X, dict(p.obj_map[X].values)] for X in sorted(p.dom.objects)],
+                    [[m, dict(p.mor_map[m].components)] for m in sorted(p.mor_map)],
+                ]
+                for fx in corpus_generate(seed, budget).functors
+                for p in (fx.functor,)
+            ]
+            h.update(json.dumps(rows, sort_keys=True).encode())
+    assert h.hexdigest() == FIXTURE_TABLES_SHA256
 
 
 def test_corpus_rejects_bounds_above_census_cap():
