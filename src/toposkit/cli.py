@@ -210,10 +210,6 @@ def _cmd_flat(ws: Workspace, args, _perr) -> tuple[dict, bool]:
 def _cmd_continuous(ws: Workspace, args, _perr) -> tuple[dict, bool]:
     p = ws.functor(args.functor)
     site = _need(ws, "site", "sites", args.site)
-    if p.dom.name != site.base.name:
-        raise ToposkitError(
-            f"functor {args.functor!r} is not based on the site's category"
-        )
     rep = is_continuous(p, site)
     return {"functor": args.functor, "site": args.site, **dataclasses.asdict(rep)}, not rep.ok
 

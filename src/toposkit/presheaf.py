@@ -209,6 +209,16 @@ def is_presheaf_iso(t: PresheafMorphism) -> bool:
     return True
 
 
+def hom_candidates(F: Presheaf, G: Presheaf) -> int:
+    """The candidate count of a hom search F -> G: the product over objects
+    of max(1, |G(X)|) ** |F(X)|, the unpruned range of its variables.  An
+    empty G(X) counts as 1, so it does not cancel the other factors."""
+    n = 1
+    for x, fv in F.values.items():
+        n *= max(1, len(G.values[x])) ** len(fv)
+    return n
+
+
 def enumerate_presheaf_morphisms(
     F: Presheaf, G: Presheaf, *, budget: Optional[int] = None, limit: Optional[int] = None
 ) -> tuple[PresheafMorphism, ...]:
@@ -216,20 +226,17 @@ def enumerate_presheaf_morphisms(
 
     The order is that of filtering, for objects in sorted order, the
     product over each object of itertools.product(G(X), repeat=|F(X)|).
-    The worst-case candidate count is the product over objects of
-    |G(X)| ** |F(X)|; if a budget is given and the product exceeds it the
-    search refuses up front rather than truncating.  With a limit the
-    search stops after that many families, so the result is the first
-    ``limit`` of the full tuple.
+    If a budget is given and ``hom_candidates(F, G)`` exceeds it the
+    search refuses up front, reporting that count, rather than
+    truncating.  With a limit the search stops after that many families,
+    so the result is the first ``limit`` of the full tuple.
     """
     if F.base != G.base:
         raise StructureError("enumerate_presheaf_morphisms: different base categories")
     if budget is not None:
-        total = 1
-        for x in sorted(F.base.objects):
-            total *= max(1, len(G.values[x])) ** len(F.values[x])
-            if total > budget:
-                raise ResourceBudgetError("enumerate_presheaf_morphisms", total, budget)
+        total = hom_candidates(F, G)
+        if total > budget:
+            raise ResourceBudgetError("enumerate_presheaf_morphisms", total, budget)
     return tuple(itertools.islice(_natural_families(F, G, bijective=False), limit))
 
 

@@ -54,6 +54,7 @@ from .kan import (
     tilde_extend,
     tilde_extend_mor,
     eta_iso,
+    extension_limit_comparison,
 )
 from .presheaf import (
     Presheaf,
@@ -66,6 +67,7 @@ from .presheaf import (
     finset_category,
     finset_functor,
     finset_obj,
+    hom_candidates,
     iter_presheaves,
     make_presheaf,
     presheaf_category,
@@ -304,15 +306,6 @@ def random_presheaf(
     raise ResourceBudgetError(
         "random_presheaf", RANDOM_PRESHEAF_ATTEMPTS + 1, RANDOM_PRESHEAF_ATTEMPTS
     )
-
-
-def random_fs_diagram(
-    J: FinCategory, rng: random.Random, bound: int = 2, name: str = ""
-) -> HandleDiagram:
-    """A seeded diagram of finite sets over the index J."""
-    G = random_presheaf(opposite(J), rng, bound, name=f"{name}_tab")
-    p = finset_functor(name, J, G, finset_category())
-    return HandleDiagram(J, p.obj_map, p.mor_map)
 
 
 # ---------------------------------------------------------------------------
@@ -577,23 +570,6 @@ def _sample(rng: random.Random, pool: Sequence, k: int) -> list:
     return [pool[i] for i in sorted(rng.sample(range(len(pool)), k))]
 
 
-def _nat_count_bound(F: Presheaf, G: Presheaf) -> int:
-    n = 1
-    for X, fv in F.values.items():
-        n *= len(G.values[X]) ** len(fv)
-        if n > 10**9:
-            return n
-    return n
-
-
-def _nats_capped(F: Presheaf, G: Presheaf, cap: int):
-    """All natural maps F -> G, or None when the search space is too big."""
-    try:
-        return enumerate_presheaf_morphisms(F, G, budget=cap)
-    except ResourceBudgetError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # the suites
 
@@ -738,7 +714,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
             ext = tilde_extend(p, H).obj
             for z in zs:
                 hp = right_adjoint_hp(p, z)
-                if _nat_count_bound(ext, z) > HOM_POOL_BOUND:
+                if hom_candidates(ext, z) > HOM_POOL_BOUND:
                     rec.skipped += 1
                     continue
                 phi = adjunction_phi(p, H, z)
@@ -761,10 +737,10 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
                             "detail": "backward(forward(w)) is not w",
                         },
                     )
-                nats = _nats_capped(H, hp, NAT_POOL_BOUND)
-                if nats is None:
+                if hom_candidates(H, hp) > NAT_POOL_BOUND:
                     rec.skipped += 1
                     continue
+                nats = enumerate_presheaf_morphisms(H, hp)
                 for t in nats[: budget.hom_cap]:
                     rt = phi.forward(phi.backward(t))
                     rec.check(
@@ -779,14 +755,14 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
         # naturality in the presheaf argument
         for H1 in Hs:
             for H2 in Hs:
-                maps = _nats_capped(H1, H2, NAT_POOL_BOUND)
-                if maps is None:
+                if hom_candidates(H1, H2) > NAT_POOL_BOUND:
                     rec.skipped += 1
                     continue
+                maps = enumerate_presheaf_morphisms(H1, H2)
                 for s in maps[:2]:
                     for z in zs[:1]:
                         ext2 = tilde_extend(p, H2).obj
-                        if _nat_count_bound(ext2, z) > HOM_POOL_BOUND:
+                        if hom_candidates(ext2, z) > HOM_POOL_BOUND:
                             rec.skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H1, z)
@@ -809,7 +785,7 @@ def _suite_IV(corpus: Corpus, budget: Budget, rec: _Recorder, cname: str) -> Non
                     post = hp_on_mor(p, w0)
                     for H in Hs[:2]:
                         ext = tilde_extend(p, H).obj
-                        if _nat_count_bound(ext, z2) > HOM_POOL_BOUND:
+                        if hom_candidates(ext, z2) > HOM_POOL_BOUND:
                             rec.skipped += 1
                             continue
                         phi1 = adjunction_phi(p, H, z1)
@@ -991,41 +967,6 @@ def _suite_VI(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
             rec.note("trivial-topology fixtures reduce to the adjunction suite")
 
 
-def _product_colimit_comparison(Z, D1: HandleDiagram, D2: HandleDiagram):
-    """colim (D1 x D2) -> (colim D1) x (colim D2), the canonical map."""
-    J = D1.index
-    pair = discrete_category("pair2", ["1", "2"])
-    prods = {
-        j: Z.limit(HandleDiagram(pair, {"1": D1.obs[j], "2": D2.obs[j]}, {}))
-        for j in J.objects
-    }
-    pmors = {}
-    for m in J.non_identities():
-        s, t = J.src(m), J.tgt(m)
-        pmors[m] = prods[t].factor(
-            prods[s].apex,
-            {
-                "1": Z.compose(D1.mors[m], prods[s].legs["1"]),
-                "2": Z.compose(D2.mors[m], prods[s].legs["2"]),
-            },
-        )
-    colim_prod = Z.colimit(HandleDiagram(J, {j: prods[j].apex for j in J.objects}, pmors))
-    c1 = Z.colimit(D1)
-    c2 = Z.colimit(D2)
-    target = Z.limit(HandleDiagram(pair, {"1": c1.apex, "2": c2.apex}, {}))
-    legs = {
-        j: target.factor(
-            prods[j].apex,
-            {
-                "1": Z.compose(c1.legs[j], prods[j].legs["1"]),
-                "2": Z.compose(c2.legs[j], prods[j].legs["2"]),
-            },
-        )
-        for j in J.objects
-    }
-    return colim_prod.factor(target.apex, legs)
-
-
 def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
     for fx in corpus.functors:
         if fx.codomain != "finset":
@@ -1059,17 +1000,22 @@ def _suite_VII(corpus: Corpus, budget: Budget, rec: _Recorder) -> None:
                     "counterexample": bounded.counterexample,
                 },
             )
-    # directed colimits of finite sets commute with binary products
+    # directed colimits of finite sets commute with binary products: a
+    # diagram J -> sets is a presheaf on J^op, and its colimit is the
+    # extension of the point functor J^op -> sets at it
     FSH = corpus.handles["finset"]
     J = corpus.categories["chain3"]
+    Jop = opposite(J)
+    point = finset_functor("point", Jop, constant_presheaf(J, ["*"]), FSH)
+    pair = discrete_category("pair2", ["1", "2"])
     rng = random.Random(f"{corpus.seed}:VII:commute")
     rec.note(f"{budget.commute_samples} seeded directed diagrams over chain3")
     for i in range(budget.commute_samples):
-        D1 = random_fs_diagram(J, rng, bound=2, name=f"D{i}a")
-        D2 = random_fs_diagram(J, rng, bound=2, name=f"D{i}b")
-        cmp_map = _product_colimit_comparison(FSH, D1, D2)
+        D1 = random_presheaf(Jop, rng, 2, name=f"D{i}a")
+        D2 = random_presheaf(Jop, rng, 2, name=f"D{i}b")
+        product = HandleDiagram(pair, {"1": D1, "2": D2}, {})
         rec.check(
-            FSH.is_iso(cmp_map),
+            FSH.is_iso(extension_limit_comparison(point, product)),
             lambda: {
                 "instance": i,
                 "detail": "directed colimit does not commute with the product",

@@ -342,8 +342,9 @@ def test_continuous_site_base_mismatch_is_usage_error(arrow_ws, capsys):
     code = main(
         ["continuous", "--input", arrow_ws, "doubled", "onepoint", "--report", "json"]
     )
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 2
+    assert "functor domain is not the site base" in err
 
 
 # -- construction commands ----------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +54,9 @@ from toposkit.presheaf import (
     finset_obj,
     finset_transpose,
     finset_value,
+    hom_candidates,
     is_presheaf_iso,
+    iter_presheaves,
     make_presheaf,
     presheaf_colimit,
     presheaf_identity,
@@ -289,6 +292,36 @@ def test_morphism_budget_refuses_instead_of_truncating():
     G = finset_obj(["x", "y", "z"])
     with pytest.raises(ResourceBudgetError):
         enumerate_presheaf_morphisms(F, G, budget=10)
+
+
+def test_morphism_budget_refusal_names_a_sufficient_budget():
+    # the search ranges over 3**2 candidates at each object of the arrow,
+    # so a refusal must ask for all 81, not the 9 of the first object
+    arrow = fixture_categories()["arrow"]
+    F = constant_presheaf(arrow, ["a", "b"])
+    G = constant_presheaf(arrow, ["x", "y", "z"])
+    with pytest.raises(ResourceBudgetError) as info:
+        enumerate_presheaf_morphisms(F, G, budget=5)
+    assert info.value.requested == 81
+    assert len(enumerate_presheaf_morphisms(F, G, budget=info.value.requested)) == 9
+
+
+@pytest.mark.parametrize("cname", ["arrow", "chain3"])
+def test_budgeted_search_refuses_exactly_above_the_candidate_count(cname):
+    census = list(iter_presheaves(fixture_categories()[cname], 2))
+    for F in census:
+        for G in census:
+            count = hom_candidates(F, G)
+            # an empty G(X) counts 1, as the search's empty domain there does
+            assert count == math.prod(
+                max(1, len(G.values[X])) ** len(F.values[X]) for X in F.base.objects
+            )
+            maps = enumerate_presheaf_morphisms(F, G, budget=count)
+            assert maps == enumerate_presheaf_morphisms(F, G)
+            assert len(maps) <= count
+            with pytest.raises(ResourceBudgetError) as info:
+                enumerate_presheaf_morphisms(F, G, budget=count - 1)
+            assert info.value.requested == count
 
 
 # ---------------------------------------------------------------------------
